@@ -9,7 +9,7 @@ scrapes — must cost < 5% CPU time versus the same workload on a
 :class:`NullRegistry` bundle.
 
 The workload is an offline replica of the live monitor's duty cycle: a
-:class:`MembershipTable` of SFD-monitored nodes fed interleaved
+:class:`ShardedMembershipTable` of SFD-monitored nodes fed interleaved
 heartbeats (one node suffers periodic congestion stalls, so genuine
 TRUSTED↔SUSPECTED edges feed the auditor), classified every few
 heartbeats the way ``repro top`` polling does, and scraped (snapshot +
@@ -18,7 +18,7 @@ audit collect) at a realistic cadence.
 
 import numpy as np
 
-from repro.cluster import MembershipTable
+from repro.cluster import ShardedMembershipTable
 from repro.core.sfd import SFD, SlotConfig
 from repro.obs import Instruments
 from repro.qos.spec import QoSRequirements
@@ -39,7 +39,7 @@ REQ = QoSRequirements(
 
 
 def run_monitoring(ins: Instruments) -> None:
-    table = MembershipTable(
+    table = ShardedMembershipTable(
         ins.wrap_detector_factory(
             lambda nid: SFD(
                 REQ, sm1=0.05, window_size=100, slot=SlotConfig(heartbeats=200)

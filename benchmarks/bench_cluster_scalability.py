@@ -10,8 +10,8 @@ case.  Two scales are exercised:
 * a 10k-node live-plane ingest run through the sharded membership table:
   batched heartbeats, a status query per batch, amortized cost per
   heartbeat, steady-state query latency at 1k vs 10k nodes, and a final
-  verdict-for-verdict comparison against the flat ``MembershipTable`` fed
-  the identical stream.
+  verdict-for-verdict comparison against the flat ``MembershipTable``
+  oracle from ``tests/flat_membership.py`` fed the identical stream.
 
 The live-plane run deliberately uses the constant-time fixed-timeout
 detector: the bound under test is the *plane* overhead (admission,
@@ -22,13 +22,14 @@ whatever the chosen detector family costs per sample.
 
 import math
 import os
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
 from repro.cluster import (
     ClusterScan,
-    MembershipTable,
     NodeSpec,
     NodeStatus,
     ShardedMembershipTable,
@@ -36,6 +37,10 @@ from repro.cluster import (
 from repro.detectors import FixedTimeoutFD, PhiFD
 
 from _common import emit
+
+# The flat table is a test-suite oracle, not library code.
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
+from flat_membership import MembershipTable  # noqa: E402
 
 N_NODES = 200
 HORIZON = 30.0

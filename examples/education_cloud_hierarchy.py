@@ -17,7 +17,12 @@ Run:  python examples/education_cloud_hierarchy.py
 
 import numpy as np
 
-from repro.cluster import GlobalMonitor, MembershipTable, NodeStatus, SiteMonitor
+from repro.cluster import (
+    GlobalMonitor,
+    NodeStatus,
+    ShardedMembershipTable,
+    SiteMonitor,
+)
 from repro.detectors import PhiFD
 from repro.net import NormalDelay
 from repro.sim import CrashPlan, HeartbeatSender, SimLink, Simulator
@@ -40,7 +45,7 @@ def main() -> None:
     for site in SITES:
         sm = SiteMonitor(
             site,
-            MembershipTable(
+            ShardedMembershipTable(
                 lambda nid: PhiFD(3.0, window_size=30), auto_register=True
             ),
         )

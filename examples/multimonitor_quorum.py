@@ -16,7 +16,7 @@ import math
 
 import numpy as np
 
-from repro.cluster import MembershipTable, MonitorGroup
+from repro.cluster import MonitorGroup, ShardedMembershipTable
 from repro.detectors import PhiFD
 from repro.net import LogNormalDelay, BernoulliLoss
 from repro.sim import CrashPlan, HeartbeatSender, SimLink, Simulator
@@ -36,10 +36,10 @@ def main() -> None:
     sim = Simulator()
     rng = np.random.default_rng(3)
     group = MonitorGroup()  # default: strict majority of observers
-    tables: dict[str, MembershipTable] = {}
+    tables: dict[str, ShardedMembershipTable] = {}
 
     for mon_name, path in MONITORS.items():
-        table = MembershipTable(lambda nid: PhiFD(2.0, window_size=40))
+        table = ShardedMembershipTable(lambda nid: PhiFD(2.0, window_size=40))
         tables[mon_name] = table
         group.add_monitor(mon_name, table)
         for server in SERVERS:

@@ -21,12 +21,7 @@ from repro.analysis.experiments import (
 )
 from repro.analysis.tables import table1_rows, table2_rows, PAPER_TABLE2
 from repro.analysis.export import export_curve_csv, export_figure_csv
-from repro.analysis.fastsweep import (
-    ChenSweeper,
-    fast_chen_curve,
-    MLSweeper,
-    fast_ml_curve,
-)
+from repro.analysis.fastsweep import ChenSweeper, fast_chen_curve
 from repro.analysis.report import format_table, format_curve, format_figure
 
 __all__ = [
@@ -46,8 +41,6 @@ __all__ = [
     "export_figure_csv",
     "ChenSweeper",
     "fast_chen_curve",
-    "MLSweeper",
-    "fast_ml_curve",
     "format_table",
     "format_curve",
     "format_figure",

@@ -19,15 +19,6 @@ result is *bit-compatible in exact arithmetic* with
 ``sweep_curve("chen", ...)`` (the test suite asserts tight
 numerical agreement), and it is what makes dense planning sweeps
 (:func:`repro.qos.planner.plan_chen_alpha`) essentially free.
-
-The learned ``ml`` family admits the same trick with one twist: its
-margin multiplies a *per-heartbeat* scale ``s[r] = jitter[r] + floor``
-rather than adding a constant, so a mistake at ``r`` means
-``resid[r] > m·s[r]``.  Dividing through by the (strictly positive)
-scale reduces it to the Chen survival problem over the *ratios*
-``resid/s``, with suffix sums of both the numerator and the scale
-(:class:`_ScaledSurvival`) — still O(log n) per margin after one
-O(n)-ish model pass.
 """
 
 from __future__ import annotations
@@ -37,14 +28,13 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.detectors.ml import ML_JITTER_FLOOR
 from repro.errors import ConfigurationError
 from repro.qos.area import QoSCurve
 from repro.qos.spec import QoSReport
-from repro.replay.vectorized import chen_expected_arrivals, ml_prediction_arrays
+from repro.replay.vectorized import chen_expected_arrivals
 from repro.traces.trace import MonitorView
 
-__all__ = ["ChenSweeper", "fast_chen_curve", "MLSweeper", "fast_ml_curve"]
+__all__ = ["ChenSweeper", "fast_chen_curve"]
 
 
 @dataclass(frozen=True)
@@ -146,123 +136,3 @@ def fast_chen_curve(
         view, window=window, nominal_interval=nominal_interval
     ).curve(alphas)
 
-
-@dataclass(frozen=True)
-class _ScaledSurvival:
-    """Samples sorted by ``num/scale``: O(log n) tails of ``(num − m·scale)₊``.
-
-    ``scale`` must be strictly positive, so ``num − m·scale > 0`` exactly
-    when the ratio exceeds ``m`` — the per-sample scale version of
-    :class:`_Survival`.
-    """
-
-    sorted_ratio: np.ndarray
-    suffix_num: np.ndarray  # suffix_num[i] = Σ num[order][i:]
-    suffix_scale: np.ndarray  # suffix_scale[i] = Σ scale[order][i:]
-
-    @classmethod
-    def of(cls, num: np.ndarray, scale: np.ndarray) -> "_ScaledSurvival":
-        num = np.asarray(num, dtype=np.float64)
-        scale = np.asarray(scale, dtype=np.float64)
-        ratio = num / scale
-        order = np.argsort(ratio, kind="stable")
-        n_sorted = num[order]
-        s_sorted = scale[order]
-        return cls(
-            sorted_ratio=ratio[order],
-            suffix_num=np.concatenate((np.cumsum(n_sorted[::-1])[::-1], [0.0])),
-            suffix_scale=np.concatenate((np.cumsum(s_sorted[::-1])[::-1], [0.0])),
-        )
-
-    def tail_count(self, m: float) -> int:
-        """#{num/scale > m}"""
-        return int(
-            self.sorted_ratio.size
-            - np.searchsorted(self.sorted_ratio, m, side="right")
-        )
-
-    def tail_excess(self, m: float) -> float:
-        """Σ (num − m·scale)₊"""
-        i = int(np.searchsorted(self.sorted_ratio, m, side="right"))
-        return float(self.suffix_num[i] - m * self.suffix_scale[i])
-
-
-class MLSweeper:
-    """Precomputed state for arbitrarily many ml-margin evaluations.
-
-    One pass of the online predictor fixes the prediction and jitter
-    arrays; every margin of the sweep then reduces to survival-function
-    lookups over the scaled residuals, exactly like :class:`ChenSweeper`
-    but with the margin multiplying the learned per-heartbeat scale
-    ``s[r] = jitter[r] + ML_JITTER_FLOOR`` instead of adding a constant.
-    """
-
-    def __init__(
-        self,
-        view: MonitorView,
-        *,
-        lr: float = 0.05,
-        window: int = 16,
-        decay: float = 0.1,
-    ):
-        r0 = max(window, 2) - 1
-        if len(view) <= r0 + 1:
-            raise ConfigurationError(
-                f"view has {len(view)} heartbeats; need more than {r0 + 1}"
-            )
-        self.window = window
-        pred, jit = ml_prediction_arrays(view, lr=lr, window=window, decay=decay)
-        arrivals = view.arrivals
-        scale = jit + ML_JITTER_FLOOR
-        # Guarded pairs: r in [r0, R-2]; plus the trailing TD sample.
-        resid = arrivals[r0 + 1 :] - (arrivals[r0:-1] + pred[r0:-1])
-        gap = arrivals[r0 + 1 :] - arrivals[r0:-1]
-        scale_g = scale[r0:-1]
-        mask = gap > 0.0
-        self._resid = _ScaledSurvival.of(resid[mask], scale_g[mask])
-        self._z = _ScaledSurvival.of((resid - gap)[mask], scale_g[mask])
-        self._td_base = float(
-            np.mean(arrivals[r0:] + pred[r0:] - view.send_times[r0:])
-        )
-        self._scale_mean = float(np.mean(scale[r0:]))
-        self._samples = int(arrivals.size - r0)
-        self._t_begin = float(arrivals[r0])
-        self._t_end = float(arrivals[-1])
-
-    def qos_at(self, margin: float) -> QoSReport:
-        """Exact replay QoS of the ml FD at the given margin."""
-        if margin < 0:
-            raise ConfigurationError(f"margin must be >= 0, got {margin!r}")
-        total = self._t_end - self._t_begin
-        mistakes = self._resid.tail_count(margin)
-        mistake_time = self._resid.tail_excess(margin) - self._z.tail_excess(
-            margin
-        )
-        mistake_time = min(max(mistake_time, 0.0), total)
-        return QoSReport(
-            detection_time=self._td_base + margin * self._scale_mean,
-            mistake_rate=mistakes / total,
-            query_accuracy=1.0 - mistake_time / total,
-            mistakes=mistakes,
-            mistake_time=mistake_time,
-            accounted_time=total,
-            samples=self._samples,
-        )
-
-    def curve(self, margins: Sequence[float]) -> QoSCurve:
-        out = QoSCurve("ml")
-        for m in margins:
-            out.add(float(m), self.qos_at(float(m)))
-        return out
-
-
-def fast_ml_curve(
-    view: MonitorView,
-    margins: Sequence[float],
-    *,
-    lr: float = 0.05,
-    window: int = 16,
-    decay: float = 0.1,
-) -> QoSCurve:
-    """Drop-in fast equivalent of ``sweep_curve("ml", ...)``."""
-    return MLSweeper(view, lr=lr, window=window, decay=decay).curve(margins)

@@ -629,13 +629,13 @@ def _audit_demo(trail: int) -> str:
     """Offline audit demo: the regime-change example, fully instrumented.
 
     One SFD-monitored node rides calm → degraded → recovered network
-    phases through a real :class:`MembershipTable`, so the audit plane
+    phases through a real :class:`ShardedMembershipTable`, so the audit plane
     sees genuine status edges (wrong suspicions during the congestion
     stalls) and the feedback loop leaves a full SM(k)/Sat_k trail.
     """
     import numpy as np
 
-    from repro.cluster import MembershipTable
+    from repro.cluster import ShardedMembershipTable
     from repro.core.feedback import InfeasiblePolicy
     from repro.core.sfd import SFD, SlotConfig
     from repro.obs import (
@@ -650,7 +650,7 @@ def _audit_demo(trail: int) -> str:
         max_detection_time=0.45, max_mistake_rate=0.05, min_query_accuracy=0.98
     )
     ins = Instruments()
-    table = MembershipTable(
+    table = ShardedMembershipTable(
         ins.wrap_detector_factory(
             lambda nid: SFD(
                 req,

@@ -13,14 +13,13 @@ over several monitors (multiple-monitor-multiple), and a simulated
 PlanetLab-style status scan built on the DES.
 """
 
-from repro.cluster.membership import MembershipTable, NodeState, NodeStatus
+from repro.cluster.membership import NodeState, NodeStatus
 from repro.cluster.sharded import DeadlineWheel, ShardedMembershipTable
 from repro.cluster.multimonitor import MonitorGroup, QuorumVerdict
 from repro.cluster.scan import ClusterScan, NodeSpec, ScanReport
 from repro.cluster.hierarchy import GlobalMonitor, SiteDigest, SiteMonitor
 
 __all__ = [
-    "MembershipTable",
     "NodeState",
     "NodeStatus",
     "DeadlineWheel",

@@ -22,7 +22,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.cluster.membership import MembershipTable, NodeStatus
+from repro.cluster.membership import NodeStatus
+from repro.cluster.sharded import ShardedMembershipTable
 
 __all__ = ["SiteDigest", "SiteMonitor", "GlobalMonitor"]
 
@@ -54,7 +55,7 @@ class SiteMonitor:
     """
 
     site: str
-    table: MembershipTable
+    table: ShardedMembershipTable
     digests_sent: int = field(default=0, init=False)
 
     def heartbeat(
@@ -88,11 +89,11 @@ class GlobalMonitor:
     """
 
     def __init__(self, detector_factory):
-        self._sites = MembershipTable(detector_factory, auto_register=True)
+        self._sites = ShardedMembershipTable(detector_factory, auto_register=True)
         self._last_digest: dict[str, SiteDigest] = {}
 
     @property
-    def sites(self) -> MembershipTable:
+    def sites(self) -> ShardedMembershipTable:
         return self._sites
 
     def receive_digest(self, digest: SiteDigest, arrival: float) -> None:

@@ -4,7 +4,7 @@ When several monitors watch the same nodes over *different* network paths
 (the cross-cloud accesses of Fig. 1), their verdicts differ: a congested
 path can make one monitor suspect a node other monitors still trust.  A
 :class:`MonitorGroup` aggregates per-monitor
-:class:`~repro.cluster.membership.MembershipTable` snapshots into a quorum
+:class:`~repro.cluster.sharded.ShardedMembershipTable` snapshots into a quorum
 verdict, the standard way to turn unreliable local detectors into a more
 accurate global one.
 """
@@ -14,7 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
-from repro.cluster.membership import MembershipTable, NodeStatus
+from repro.cluster.membership import NodeStatus
+from repro.cluster.sharded import ShardedMembershipTable
 
 __all__ = ["QuorumVerdict", "MonitorGroup"]
 
@@ -50,15 +51,12 @@ class QuorumVerdict:
 class MonitorGroup:
     """A set of named monitors voting on node liveness.
 
-    When every member table supports ``advance`` (the sharded membership
-    table), verdicts are served from a per-node cache keyed by the
-    members' status epochs: one O(changed) ``advance`` per query brings
-    the snapshots current, the epoch key tells us whether any member's
+    Verdicts are served from a per-node cache keyed by the members'
+    status epochs: one O(changed) ``advance`` per query brings the
+    snapshots current, the epoch key tells us whether any member's
     opinion moved, and only moved nodes are re-aggregated.  Transition
     callbacks feed a dirty set so :meth:`crashed_nodes` re-judges exactly
     the nodes that changed instead of rescanning monitors × nodes.
-    Groups containing a flat table fall back to the uncached per-node
-    classification path.
 
     Parameters
     ----------
@@ -72,14 +70,14 @@ class MonitorGroup:
         if quorum is not None and quorum < 1:
             raise ConfigurationError(f"quorum must be >= 1, got {quorum!r}")
         self._quorum = quorum
-        self._monitors: dict[str, MembershipTable] = {}
+        self._monitors: dict[str, ShardedMembershipTable] = {}
         #: node_id -> (epoch key, verdict); the key is the per-monitor
         #: (present, status_epoch) tuple, so any member transition or
         #: membership change of that node misses the cache.
         self._verdicts: dict[str, tuple[tuple, QuorumVerdict]] = {}
         #: Nodes whose status moved since crashed_nodes() last judged them.
         self._dirty: set[str] = set()
-        #: Incrementally maintained crash roster (cached mode only).
+        #: Incrementally maintained crash roster.
         self._crashed: set[str] = set()
         #: Per-table node counts at the last sync; a shape change means
         #: registrations/expiries happened without transitions, which the
@@ -87,7 +85,7 @@ class MonitorGroup:
         self._shape: tuple[int, ...] | None = None
         self._roster_stale = True
 
-    def add_monitor(self, name: str, table: MembershipTable) -> None:
+    def add_monitor(self, name: str, table: ShardedMembershipTable) -> None:
         if name in self._monitors:
             raise ConfigurationError(f"monitor {name!r} already in the group")
         self._monitors[name] = table
@@ -101,7 +99,7 @@ class MonitorGroup:
         self._dirty.add(node_id)
 
     @property
-    def monitors(self) -> dict[str, MembershipTable]:
+    def monitors(self) -> dict[str, ShardedMembershipTable]:
         return dict(self._monitors)
 
     def _required(self, observing: int) -> int:
@@ -109,12 +107,9 @@ class MonitorGroup:
             return self._quorum
         return observing // 2 + 1  # strict majority of opinions
 
-    def _sync(self, now: float) -> bool:
-        """Bring every member snapshot current; True when the epoch cache
-        is usable (all members maintain snapshots via ``advance``)."""
+    def _sync(self, now: float) -> None:
+        """Bring every member snapshot current."""
         tables = self._monitors.values()
-        if not all(hasattr(t, "advance") for t in tables):
-            return False
         for t in tables:
             t.advance(now)
         shape = tuple(len(t) for t in tables)
@@ -122,7 +117,6 @@ class MonitorGroup:
             self._shape = shape
             self._roster_stale = True
             self._verdicts.clear()  # drop entries for expired nodes
-        return True
 
     def _aggregate(
         self, node_id: str, statuses: dict[str, NodeStatus]
@@ -160,13 +154,8 @@ class MonitorGroup:
 
     def verdict(self, node_id: str, now: float) -> QuorumVerdict:
         """Aggregate the group's opinion about ``node_id`` at ``now``."""
-        if self._sync(now):
-            return self._cached_verdict(node_id)
-        statuses: dict[str, NodeStatus] = {}
-        for name, table in self._monitors.items():
-            if node_id in table:
-                statuses[name] = table.node(node_id).status(now)
-        return self._aggregate(node_id, statuses)
+        self._sync(now)
+        return self._cached_verdict(node_id)
 
     def all_nodes(self) -> set[str]:
         """Union of node ids across all member monitors."""
@@ -178,14 +167,11 @@ class MonitorGroup:
     def crashed_nodes(self, now: float) -> list[str]:
         """Nodes the group currently declares crashed (sorted).
 
-        In cached mode the roster is maintained incrementally: only nodes
-        dirtied by member transitions since the previous call (or all
-        nodes, after a membership change) are re-judged.
+        The roster is maintained incrementally: only nodes dirtied by
+        member transitions since the previous call (or all nodes, after a
+        membership change) are re-judged.
         """
-        if not self._sync(now):
-            return sorted(
-                nid for nid in self.all_nodes() if self.verdict(nid, now).crashed
-            )
+        self._sync(now)
         if self._roster_stale:
             # First cached query, or members registered/expired nodes:
             # rebuild the roster, then go incremental.

@@ -109,7 +109,7 @@ class ClusterScan:
         Per-node detector builder, ``factory(node_id) -> FailureDetector``,
         or a registry spec string (``"phi:threshold=3.0,window=40"``);
         strings are resolved by the underlying
-        :class:`~repro.cluster.membership.MembershipTable`.
+        :class:`~repro.cluster.sharded.ShardedMembershipTable`.
     seed:
         Base RNG seed; each node's link derives an independent stream.
     """

@@ -1,40 +1,47 @@
-"""Sharded membership: O(changed) status evaluation via a deadline wheel.
+"""One-monitors-multiple: a membership table of per-node detectors.
 
-The flat :class:`~repro.cluster.membership.MembershipTable` re-classifies
-every node on every ``statuses()`` / ``summary()`` / ``expire()`` call —
-fine for the paper's per-link experiments, hopeless for the ROADMAP's
-10k-node monitoring plane, where queries arrive continuously and almost
-no node changes status between them.  Dobre et al.'s large-scale
-architecture (PAPERS.md) motivates the shape: local detection units whose
-verdicts aggregate upward, which requires the *evaluation* cost to track
-the number of transitions, not the number of nodes.
+A monitor hosting ``N`` independent detector instances — one per monitored
+node — is the paper's "one monitors multiple" case ("based on the parallel
+theory", Section VI): detector state is per-sender, so the extension is a
+table, and SFD's small-window friendliness (Section V-C: "it is able to
+get acceptable performance with very small window size, and it can save
+valuable memory resources") is exactly what makes the table affordable at
+PlanetLab scale.
 
-:class:`ShardedMembershipTable` keeps the flat table's behaviour
-bit-for-bit (same reorder window, restart adoption, QoS mistake
-accounting, observer hooks — proven by the parity suite in
-``tests/test_sharded.py``) but inverts the control flow:
+At cluster scale queries arrive continuously and almost no node changes
+status between them, so the table must not re-classify every node per
+query.  Dobre et al.'s large-scale architecture (PAPERS.md) motivates the
+shape: local detection units whose verdicts aggregate upward, which
+requires the *evaluation* cost to track the number of transitions, not
+the number of nodes.  :class:`ShardedMembershipTable` therefore keeps
+heartbeat admission (reorder window, restart adoption, QoS mistake
+accounting, observer hooks) per node, and drives classification from a
+deadline wheel:
 
-* Every accepted heartbeat (re)schedules the node's **next status
-  boundary** on a per-shard deadline wheel — the absolute time at which
-  the detector's suspicion level first reaches the next rung of the
-  classification ladder, obtained from
+* Every accepted heartbeat classifies the node and (re)schedules its
+  **next status boundary** on a per-shard deadline wheel — the absolute
+  time at which the detector's suspicion level first reaches the next
+  rung of the classification ladder, obtained from
   :meth:`~repro.detectors.base.FailureDetector.suspicion_eta`.
-* A single :meth:`advance` pops only the *due* wheel buckets, re-checks
-  exactly those nodes with the same ``state.status(now)`` the flat table
-  uses, and emits transitions through the same ``_classify`` choke point.
+* A single :meth:`~ShardedMembershipTable.advance` pops only the *due*
+  wheel buckets, re-checks exactly those nodes with the canonical
+  ``NodeState.status(now)`` ladder, and emits transitions through one
+  ``_classify`` choke point.
 * ``statuses()`` / ``summary()`` / ``select()`` then read a maintained
   snapshot (insertion-ordered status dict, per-status counts, per-status
   index sets) instead of touching any detector.
 * ``expire()`` pops a per-shard lazy min-heap keyed by last arrival
   instead of scanning the table.
 
-Correctness of the wheel does not depend on ``suspicion_eta`` being
-exact, only on it never being *later* than the true crossing: scheduled
-nodes are re-classified with the canonical ladder at pop time, so an
-early deadline merely costs one extra re-check.  Detectors that cannot
-invert their suspicion curve return ``-inf`` and fall back to a per-shard
-"always re-check" set, degrading that shard to flat-table cost without
-affecting the others.
+The answers equal a full re-classification of every node at query time;
+``tests/test_sharded.py`` pins that against a flat scan-everything oracle
+for every detector family.  Correctness of the wheel does not depend on
+``suspicion_eta`` being exact, only on it never being *later* than the
+true crossing: scheduled nodes are re-classified with the canonical
+ladder at pop time, so an early deadline merely costs one extra re-check.
+Detectors that cannot invert their suspicion curve return ``-inf`` and
+fall back to a per-shard "always re-check" set, degrading that shard to
+scan cost without affecting the others.
 """
 
 from __future__ import annotations
@@ -50,7 +57,8 @@ from repro.errors import (
     UnknownNodeError,
 )
 from repro.detectors.base import FailureDetector, TimeoutFailureDetector
-from repro.cluster.membership import MembershipTable, NodeState, NodeStatus
+from repro.cluster.membership import NodeState, NodeStatus
+from repro.qos.metrics import MistakeAccumulator
 
 __all__ = ["DeadlineWheel", "ShardedMembershipTable"]
 
@@ -64,6 +72,12 @@ _TERMINAL = frozenset({NodeStatus.DEAD})
 #: ``observe``).  For them the batch fast path can classify and re-arm
 #: from the cached freshness point alone; any override of those methods
 #: drops the class back to the generic path.
+#:
+#: The fused lane this enables stays because it was measured to win:
+#: ``bench_cluster_scalability``'s 10k-node ``FixedTimeoutFD`` ingest
+#: costs 1.3–2.0 µs/heartbeat with it and 2.4–3.5 µs/heartbeat through
+#: the generic lane (3 interleaved runs each, best of 5 rounds, 2-vCPU
+#: Xeon VM), against that bench's 2 µs budget.
 _LINEAR_TIMEOUT: dict[type, bool] = {}
 
 
@@ -178,17 +192,22 @@ class _Shard:
         self.expiry_la: dict[str, float] = {}
 
 
-class ShardedMembershipTable(MembershipTable):
-    """Drop-in :class:`MembershipTable` with O(changed) query paths.
+class ShardedMembershipTable:
+    """Registry of monitored nodes, each with its own detector instance,
+    with O(changed) query paths.
 
-    ``NodeState`` bookkeeping, heartbeat admission, restart adoption and
-    QoS accounting are inherited unchanged; this subclass adds the K-way
-    shard partition (``crc32(node_id) % shards``, fixed at registration),
-    the per-shard deadline wheels and expiry heaps, and the maintained
-    snapshot that queries read.
+    Nodes are partitioned K ways (``crc32(node_id) % shards``, fixed at
+    registration); each shard owns a deadline wheel and an expiry heap,
+    and queries read a maintained status snapshot (module docstring).
 
-    Parameters (beyond the flat table's)
-    ------------------------------------
+    Parameters
+    ----------
+    detector_factory:
+        Called as ``detector_factory(node_id)`` to build a fresh detector
+        when a node is registered (or first heard from, when
+        ``auto_register`` is set).  A registry spec string
+        (``"phi:threshold=4.0,window=10"``) or replay spec object is also
+        accepted and resolved via :mod:`repro.detectors.registry`.
     shards:
         Number of partitions.  Shards bound the wheel/heap sizes and give
         ``advance``/``expire`` natural units of work; they do not change
@@ -201,6 +220,28 @@ class ShardedMembershipTable(MembershipTable):
         Optional hook ``(popped, changed)`` fired after every
         :meth:`advance` — the observability layer's batch-granularity
         counter feed.
+    auto_register:
+        Accept heartbeats from unknown nodes by registering them on the
+        fly (how a PlanetLab-style open monitor behaves).
+    account_qos:
+        Keep live QoS accounting per node (``NodeState.qos``).
+    reorder_window:
+        Sequence regressions up to this many numbers behind the newest are
+        treated as transport reordering and dropped; regressions *beyond*
+        it mean the sender restarted with a fresh counter, so its detector
+        is reset instead (a crashed-and-restarted node must be re-adopted,
+        not ignored forever).
+    on_transition:
+        Optional observer ``(node_id, old, new, now)`` fired whenever a
+        node's classified status changes — on heartbeat arrival (recovery
+        edges, so SUSPECT→ACTIVE is seen at arrival time), on
+        :meth:`advance` and on every query path (suspicion edges).
+    on_restart:
+        Optional observer ``(node_id, restarts)`` fired when a sequence
+        regression past the reorder window re-adopts a node.
+    on_stale:
+        Optional observer ``(node_id, seq, newest)`` fired when a
+        reordered/stale heartbeat is dropped.
     """
 
     def __init__(
@@ -210,38 +251,87 @@ class ShardedMembershipTable(MembershipTable):
         shards: int = 16,
         granularity: float = 0.05,
         on_advance: Callable[[int, int], None] | None = None,
-        **kwargs,
+        auto_register: bool = True,
+        account_qos: bool = False,
+        reorder_window: int = 8,
+        on_transition: Callable[[str, NodeStatus, NodeStatus, float], None]
+        | None = None,
+        on_restart: Callable[[str, int], None] | None = None,
+        on_stale: Callable[[str, int, int], None] | None = None,
     ):
-        super().__init__(detector_factory, **kwargs)
+        if reorder_window < 0:
+            raise ConfigurationError(
+                f"reorder_window must be >= 0, got {reorder_window!r}"
+            )
+        if not callable(detector_factory):
+            # Spec string (or spec object): resolve through the registry so
+            # configs can say `"phi:threshold=4.0,window=10"` directly.
+            from repro.detectors import registry
+
+            detector_factory = registry.as_factory(detector_factory)
         if shards < 1:
             raise ConfigurationError(f"shards must be >= 1, got {shards!r}")
+        self._factory = detector_factory
+        self._auto = auto_register
+        self._account = account_qos
+        self._reorder_window = int(reorder_window)
+        self._on_transition = on_transition
+        self._on_restart = on_restart
+        self._on_stale = on_stale
+        self._transition_listeners: list[
+            Callable[[str, NodeStatus, NodeStatus, float], None]
+        ] = []
+        self._epoch = 0
+        self._nodes: dict[str, NodeState] = {}
         self._shard_list = [_Shard(granularity) for _ in range(int(shards))]
         self._shard_of: dict[str, _Shard] = {}
         self.on_advance = on_advance
-        # Maintained snapshot.  `_statuses` preserves registration order so
-        # `statuses()` matches the flat table's iteration order exactly.
+        # Maintained snapshot.  `_statuses` preserves registration order,
+        # so `statuses()` iterates nodes in the order they joined.
         self._statuses: dict[str, NodeStatus] = {}
         self._counts: dict[NodeStatus, int] = {s: 0 for s in NodeStatus}
         self._by_status: dict[NodeStatus, dict[str, None]] = {
             s: {} for s in NodeStatus
         }
-        # Keep the snapshot fresh at arrival time even with no observer:
-        # heartbeat-path classification is what lets queries skip the
-        # untouched nodes.
-        self._observes = True
 
-    # ------------------------------------------------------------------ #
-    # registration / removal keep the snapshot and shard map in sync
-    # ------------------------------------------------------------------ #
+    def add_transition_listener(
+        self, listener: Callable[[str, NodeStatus, NodeStatus, float], None]
+    ) -> None:
+        """Subscribe an additional ``(node_id, old, new, now)`` observer.
+
+        Unlike the constructor's ``on_transition`` (which stays the primary
+        hook, e.g. the instruments bundle), any number of listeners can be
+        attached after construction — quorum aggregators use this to
+        invalidate their per-node verdict caches on exactly the nodes that
+        changed.
+        """
+        self._transition_listeners.append(listener)
+
+    @property
+    def epoch(self) -> int:
+        """Table-wide status-transition counter (see ``status_epoch``)."""
+        return self._epoch
 
     @property
     def shard_count(self) -> int:
         return len(self._shard_list)
 
+    def __len__(self) -> int:
+        return len(self._nodes)
+
+    def __contains__(self, node_id: str) -> bool:
+        return node_id in self._nodes
+
+    # ------------------------------------------------------------------ #
+    # registration / removal keep the snapshot and shard map in sync
+    # ------------------------------------------------------------------ #
+
     def register(self, node_id: str) -> NodeState:
-        known = node_id in self._nodes
-        state = super().register(node_id)
-        if not known:
+        """Add a node explicitly; idempotent."""
+        state = self._nodes.get(node_id)
+        if state is None:
+            state = NodeState(node_id=node_id, detector=self._factory(node_id))
+            self._nodes[node_id] = state
             shard = self._shard_list[
                 crc32(node_id.encode()) % len(self._shard_list)
             ]
@@ -252,10 +342,8 @@ class ShardedMembershipTable(MembershipTable):
         return state
 
     def remove(self, node_id: str) -> None:
-        state = self._nodes.get(node_id)
-        if state is None:
+        if self._nodes.pop(node_id, None) is None:
             return
-        super().remove(node_id)
         shard = self._shard_of.pop(node_id)
         shard.wheel.cancel(node_id)
         shard.always.discard(node_id)
@@ -264,19 +352,43 @@ class ShardedMembershipTable(MembershipTable):
         self._counts[status] -= 1
         del self._by_status[status][node_id]
 
+    @property
+    def restarts(self) -> int:
+        """Total node restarts recognized across the table."""
+        return sum(st.restarts for st in self._nodes.values())
+
+    def node(self, node_id: str) -> NodeState:
+        state = self._nodes.get(node_id)
+        if state is None:
+            raise UnknownNodeError(node_id)
+        return state
+
+    def nodes(self) -> tuple[NodeState, ...]:
+        return tuple(self._nodes.values())
+
     # ------------------------------------------------------------------ #
-    # classification choke point: snapshot + rescheduling
+    # classification choke point: observers, snapshot, rescheduling
     # ------------------------------------------------------------------ #
 
     def _classify(self, state: NodeState, now: float) -> NodeStatus:
+        """Compute a node's status, surfacing the edge to the observers
+        and the snapshot, and re-arm its wheel deadline."""
+        status = state.status(now)
         old = state.last_status
-        status = super()._classify(state, now)
         if status is not old:
+            node_id = state.node_id
+            self._epoch += 1
+            state.status_epoch = self._epoch
+            if self._on_transition is not None:
+                self._on_transition(node_id, old, status, now)
+            for listener in self._transition_listeners:
+                listener(node_id, old, status, now)
+            state.last_status = status
             self._counts[old] -= 1
             self._counts[status] += 1
-            self._statuses[state.node_id] = status
-            del self._by_status[old][state.node_id]
-            self._by_status[status][state.node_id] = None
+            self._statuses[node_id] = status
+            del self._by_status[old][node_id]
+            self._by_status[status][node_id] = None
         self._reschedule(state)
         return status
 
@@ -309,8 +421,8 @@ class ShardedMembershipTable(MembershipTable):
         shard = self._shard_of[node_id]
         due = self._boundary(state)
         if due == -math.inf:
-            # Can't invert the suspicion curve: flat-table cost for this
-            # node only.
+            # Can't invert the suspicion curve: re-check this node on
+            # every advance.
             shard.wheel.cancel(node_id)
             shard.always.add(node_id)
             return
@@ -318,45 +430,103 @@ class ShardedMembershipTable(MembershipTable):
         shard.wheel.schedule(node_id, due)
 
     # ------------------------------------------------------------------ #
-    # ingest: admission inherited; accepted heartbeats arm the shard
+    # ingest: admission, then accepted heartbeats arm the shard
     # ------------------------------------------------------------------ #
 
     def heartbeat(
         self, node_id: str, seq: int, arrival: float, send_time: float | None = None
     ) -> NodeState:
-        prev = self._nodes.get(node_id)
-        before = prev.heartbeats if prev is not None else 0
-        # The inherited path classifies at arrival (`_observes` is forced
-        # on), which routes through our `_classify` and re-arms the wheel.
-        state = super().heartbeat(node_id, seq, arrival, send_time)
-        if state.heartbeats != before and node_id not in self._shard_of[
-            node_id
-        ].expiry_la:
-            shard = self._shard_of[node_id]
+        """Feed one heartbeat from ``node_id``.
+
+        Small sequence regressions (within the reorder window) are dropped
+        as stale; large ones re-adopt the node as freshly restarted.
+        """
+        state = self._nodes.get(node_id)
+        if state is None:
+            if not self._auto:
+                raise UnknownNodeError(node_id)
+            state = self.register(node_id)
+        if seq <= state.last_seq:
+            if state.last_seq - seq <= self._reorder_window:
+                state.stale_dropped += 1
+                if self._on_stale is not None:
+                    self._on_stale(node_id, seq, state.last_seq)
+                return state
+            self._mark_restarted(state)
+        det = state.detector
+        was_ready = det.ready
+        if self._account and was_ready and state.accounting is not None:
+            # DESIGN.md §5 semantics, live: a late arrival reveals one
+            # wrong suspicion against the freshness point that guarded it.
+            try:
+                fp_prev = det.freshness_point()  # type: ignore[attr-defined]
+            except AttributeError:  # pragma: no cover - exotic detectors
+                fp_prev = math.inf
+            start = max(fp_prev, state.last_arrival)
+            if arrival > start:
+                state.accounting.add_mistake(start, arrival)
+        det.observe(seq, arrival, send_time)
+        state.last_seq = seq
+        state.last_arrival = arrival
+        state.heartbeats += 1
+        if self._account and det.ready:
+            if not was_ready:
+                state.accounting = MistakeAccumulator(t_begin=arrival)
+            try:
+                fp = det.freshness_point()  # type: ignore[attr-defined]
+            except AttributeError:  # pragma: no cover
+                fp = arrival
+            origin = send_time if send_time is not None else arrival
+            assert state.accounting is not None
+            state.accounting.add_detection_sample(fp - origin)
+        # Classify at arrival: recovery edges (SUSPECT -> ACTIVE) surface
+        # immediately, and the snapshot and wheel deadline stay current so
+        # queries can skip untouched nodes.
+        self._classify(state, arrival)
+        shard = self._shard_of[node_id]
+        if node_id not in shard.expiry_la:
             heapq.heappush(shard.expiry, (arrival, node_id))
             shard.expiry_la[node_id] = arrival
         return state
 
+    def _mark_restarted(self, state: NodeState) -> None:
+        """Re-adopt a node whose sequence counter regressed past the
+        reorder window: the peer crashed and came back with a fresh
+        counter, so its detector history (inter-arrival statistics from
+        the previous incarnation, plus the crash gap) is meaningless."""
+        state.restarts += 1
+        try:
+            state.detector.reset()
+        except NotImplementedError:
+            state.detector = self._factory(state.node_id)
+        state.last_seq = -1
+        state.last_arrival = math.nan
+        state.accounting = None
+        if self._on_restart is not None:
+            self._on_restart(state.node_id, state.restarts)
+
     def heartbeat_batch(
         self, batch: list[tuple[str, int, float, float | None]]
     ) -> int:
-        """Batched ingest with an inlined steady-state fast path.
+        """Feed a drained listener batch of ``(node_id, seq, arrival,
+        send_time)`` tuples; returns the number of accepted (non-stale)
+        heartbeats.  Semantically one :meth:`heartbeat` per tuple — the
+        batched form exists so ingest layers can hand over a whole socket
+        drain in one call.
 
         The common case at cluster scale — a known node sending the next
         in-order sequence and staying ACTIVE — touches no snapshot
         structure and emits no transition, so the layered ``heartbeat`` →
         ``_classify`` → ``_reschedule`` call chain is pure overhead for
-        it.  This override fuses those layers for exactly that case
+        it.  This method fuses those layers for exactly that case
         (same state updates, same wheel re-arm, same expiry-heap entry)
         and routes everything else — unknown nodes, stale/restart
-        sequences, non-ACTIVE nodes, QoS accounting — through the
-        canonical per-heartbeat path, keeping behaviour identical to
-        ``heartbeat`` per tuple (proven by the batched parity tests).
+        sequences, non-ACTIVE nodes, QoS accounting — through
+        :meth:`heartbeat`, keeping behaviour identical to it per tuple
+        (proven by the batched parity tests).
         """
-        if self._account:
-            # QoS accounting needs the full per-heartbeat bookkeeping.
-            return super().heartbeat_batch(batch)
         accepted = 0
+        account = self._account
         nodes = self._nodes
         shard_of = self._shard_of
         slow = self.heartbeat
@@ -367,7 +537,8 @@ class ShardedMembershipTable(MembershipTable):
         for node_id, seq, arrival, send_time in batch:
             state = nodes.get(node_id)
             if (
-                state is None
+                account
+                or state is None
                 or seq <= state.last_seq
                 or state.last_status is not active
             ):
@@ -477,9 +648,9 @@ class ShardedMembershipTable(MembershipTable):
     def advance(self, now: float) -> int:
         """Re-classify exactly the nodes whose deadline has passed.
 
-        Emits the same transitions (same node, edge, timestamp) the flat
-        table would emit on a full query at ``now``; everything else is
-        untouched.  Returns the number of status changes.
+        Emits the same transitions (same node, edge, timestamp) a full
+        re-classification of every node at ``now`` would; everything else
+        is untouched.  Returns the number of status changes.
         """
         now = float(now)
         popped = 0
@@ -529,10 +700,12 @@ class ShardedMembershipTable(MembershipTable):
     # ------------------------------------------------------------------ #
 
     def statuses(self, now: float) -> dict[str, NodeStatus]:
+        """Snapshot every node's status at ``now``."""
         self.advance(now)
         return dict(self._statuses)
 
     def summary(self, now: float) -> dict[NodeStatus, int]:
+        """Counts per status — the "guidance" the intro asks for."""
         self.advance(now)
         return dict(self._counts)
 
@@ -540,26 +713,33 @@ class ShardedMembershipTable(MembershipTable):
         """Node ids currently in ``status``.
 
         Read from the per-status index set, so the cost is the size of
-        the answer.  Order follows transition recency rather than the
-        flat table's registration order; callers that need an order
-        should sort.
+        the answer.  Order follows transition recency rather than
+        registration order; callers that need an order should sort.
         """
         self.advance(now)
         return list(self._by_status[status])
 
     def status_of(self, node_id: str, now: float) -> NodeStatus:
-        # Single-node classification, exactly like the flat table — no
-        # global advance, so a point query stays O(1).
-        return super().status_of(node_id, now)
+        """One node's status at ``now`` (:class:`NodeStatus.UNKNOWN` for
+        ids never seen — query paths never raise, matching the open
+        auto-registering monitor's semantics).  Classifies that node
+        alone, with no global advance, so a point query stays O(1)."""
+        state = self._nodes.get(node_id)
+        if state is None:
+            return NodeStatus.UNKNOWN
+        return self._classify(state, now)
 
     def expire(self, now: float, *, silent_for: float) -> list[str]:
         """Evict nodes silent for longer than ``silent_for``.
 
-        Pops the per-shard lazy heaps instead of scanning: an entry whose
-        pushed arrival is out of date is refreshed and re-pushed, so each
-        node is examined only when its *oldest known* arrival is past the
-        horizon.  Same eviction set as the flat scan (strict inequality,
-        never-heartbeat nodes exempt), returned sorted.
+        Long-dead entries would otherwise accumulate forever in an
+        auto-registering table (churny clusters like PlanetLab register
+        nodes that never come back).  Pops the per-shard lazy heaps
+        instead of scanning: an entry whose pushed arrival is out of date
+        is refreshed and re-pushed, so each node is examined only when its
+        *oldest known* arrival is past the horizon.  Evicts exactly the
+        nodes with ``now - last_arrival > silent_for`` (nodes that have
+        never heartbeat are exempt); returns the evicted ids sorted.
         """
         if silent_for <= 0:
             raise ConfigurationError(

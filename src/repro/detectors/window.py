@@ -257,11 +257,13 @@ class HeartbeatWindow:
         """
         if self._count < 2:
             raise NotWarmedUpError("need >= 2 heartbeats to estimate the interval")
-        arrs, seqs = self.items()
-        seq_span = int(seqs[-1] - seqs[0])
+        # Only the endpoints matter: the oldest slot is the next write
+        # slot once the ring is full (slot 0 before), the newest is cached.
+        oldest = self._head if self._count == self._capacity else 0
+        seq_span = self._last_seq - int(self._seq[oldest])
         if seq_span <= 0:
             raise NotWarmedUpError("degenerate sequence span")
-        return float(arrs[-1] - arrs[0]) / seq_span
+        return (self._last_arrival - float(self._arr[oldest])) / seq_span
 
     def clear(self) -> None:
         self._count = 0

@@ -34,7 +34,7 @@ class ConfigurationError(ReproError, ValueError):
 class UnknownNodeError(ConfigurationError, LookupError):
     """A node id was queried that the membership layer has never seen.
 
-    Raised by lookups on :class:`~repro.cluster.membership.MembershipTable`
+    Raised by lookups on :class:`~repro.cluster.sharded.ShardedMembershipTable`
     and the live-runtime query paths (``LiveMonitor.qos``,
     ``FailureDetectionService.peer_status``).  Status queries deliberately
     do *not* raise — an unknown node's status is

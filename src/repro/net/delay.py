@@ -202,79 +202,6 @@ class GammaDelay(DelayModel):
         return self._mean
 
 
-class StallModel(DelayModel):
-    """Mostly-regular values with rare right-skewed stalls.
-
-    Models an OS-scheduled periodic sender: almost every period equals the
-    regular value plus Gaussian jitter, but occasionally the process is
-    descheduled and the period stretches by a lognormal stall.  Multiple
-    stall components (e.g. frequent ~2-period scheduler hiccups plus rare
-    ~20-period stalls) let the model match *both* a published period σ of
-    the same order as the mean (Table II's PlanetLab senders) *and* a
-    mostly-on-time sender — a plain unimodal distribution with those
-    moments would be late ~20% of the time, which contradicts the
-    published mistake-rate curves.
-
-    Parameters
-    ----------
-    base:
-        The regular value, seconds.
-    jitter:
-        Gaussian σ of the regular component.
-    components:
-        Stall components ``(prob, mean)``; each draw independently adds a
-        unit-coefficient-of-variation lognormal stall of that mean with
-        that probability.  Empty tuple = no stalls.
-    """
-
-    def __init__(
-        self,
-        base: float,
-        *,
-        jitter: float = 0.0005,
-        components: tuple[tuple[float, float], ...] = (),
-    ):
-        if base <= 0:
-            raise ConfigurationError(f"base must be > 0, got {base!r}")
-        if jitter < 0:
-            raise ConfigurationError(f"jitter must be >= 0, got {jitter!r}")
-        for p, m in components:
-            if not (0.0 < p < 1.0):
-                raise ConfigurationError(f"stall prob must lie in (0, 1), got {p!r}")
-            if m <= 0:
-                raise ConfigurationError(f"stall mean must be > 0, got {m!r}")
-        self.base = float(base)
-        self.jitter = float(jitter)
-        self.components = tuple((float(p), float(m)) for p, m in components)
-        # cv = 1 lognormal parameters per component.
-        self._lognorm = [
-            (math.log(m) - 0.5 * math.log(2.0), math.sqrt(math.log(2.0)))
-            for _, m in self.components
-        ]
-
-    def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        d = self.base + rng.normal(0.0, self.jitter, size=n)
-        np.maximum(d, 0.2 * self.base, out=d)  # physical floor
-        for (p, _m), (mu, sigma) in zip(self.components, self._lognorm):
-            stalled = rng.random(n) < p
-            k = int(stalled.sum())
-            if k:
-                d[stalled] += rng.lognormal(mu, sigma, size=k)
-        return d
-
-    def mean(self) -> float:
-        return self.base + sum(p * m for p, m in self.components)
-
-    @property
-    def variance(self) -> float:
-        """Analytic variance (jitter + cv=1 lognormal mixture terms)."""
-        v = self.jitter**2
-        for p, m in self.components:
-            # E[X^2] of a cv=1 lognormal is 2 m^2.
-            v += p * 2.0 * m * m - (p * m) ** 2
-        return v
-
-
 class SpikeDelay(DelayModel):
     """Markov-modulated congestion episodes over a base model.
 

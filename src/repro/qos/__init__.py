@@ -16,7 +16,6 @@ from repro.qos.metrics import (
 )
 from repro.qos.area import QoSCurve, CurvePoint, dominates, pareto_front, covered_area
 from repro.qos.planner import PlanResult, feasible_points, plan_from_curve, plan_chen_alpha
-from repro.qos.timeline import Timeline
 
 __all__ = [
     "QoSReport",
@@ -35,5 +34,4 @@ __all__ = [
     "feasible_points",
     "plan_from_curve",
     "plan_chen_alpha",
-    "Timeline",
 ]

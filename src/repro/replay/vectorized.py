@@ -283,9 +283,8 @@ def ml_prediction_arrays(
     — the learned recursion has no closed form to vectorize, exactly as
     SFD's feedback loop doesn't.  Index 0 is NaN (no gap yet).
 
-    The arrays are margin-independent: every freshness sweep of the
-    family reuses one pass (see
-    :class:`repro.analysis.fastsweep.MLSweeper`).
+    The arrays are margin-independent, so every margin of a freshness
+    sweep of the family can reuse one pass.
     """
     _require_view(view, 2)
     arrivals = view.arrivals

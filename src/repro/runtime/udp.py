@@ -219,7 +219,7 @@ class UDPHeartbeatListener:
     monitored nodes that replaces 10k callback dispatches per heartbeat
     interval with a handful of batch calls, and lets the membership layer
     amortize its own per-heartbeat work (see
-    :meth:`repro.cluster.membership.MembershipTable.heartbeat_batch`).
+    :meth:`repro.cluster.sharded.ShardedMembershipTable.heartbeat_batch`).
     Each datagram still gets its own arrival stamp, taken at ``recvfrom``
     time, so detector inter-arrival statistics are unaffected by batching.
 

@@ -4,9 +4,8 @@ The trace replay of :mod:`repro.replay` evaluates detectors against logged
 arrivals; this subpackage closes the remaining gap to a *live* system: a
 deterministic event-driven simulator with heartbeat sender processes,
 monitor processes hosting any detector, unreliable channels built from the
-:mod:`repro.net` models, crash injection (the paper's crash-stop fault
-model: "a crashed process does not recover"), and the low-frequency ping
-probe the paper ran alongside its experiments.
+:mod:`repro.net` models, and crash injection (the paper's crash-stop
+fault model: "a crashed process does not recover").
 
 It is the substrate for end-to-end detection-time measurements (crash →
 permanent suspicion) that replay alone cannot produce, and for the cluster
@@ -16,7 +15,6 @@ scenarios of :mod:`repro.cluster`.
 from repro.sim.engine import Simulator
 from repro.sim.process import HeartbeatSender, MonitorProcess, MonitorReport
 from repro.sim.crash import CrashPlan
-from repro.sim.pingd import PingProcess
 from repro.sim.network import SimLink
 
 __all__ = [
@@ -25,6 +23,5 @@ __all__ = [
     "MonitorProcess",
     "MonitorReport",
     "CrashPlan",
-    "PingProcess",
     "SimLink",
 ]

@@ -7,10 +7,10 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.cluster import (
     ClusterScan,
-    MembershipTable,
     MonitorGroup,
     NodeSpec,
     NodeStatus,
+    ShardedMembershipTable,
 )
 from repro.detectors import FixedTimeoutFD, PhiFD
 
@@ -27,46 +27,46 @@ def feed_regular(table, node, n=10, interval=0.1, start=0.0):
 
 class TestMembershipTable:
     def test_auto_register(self):
-        t = MembershipTable(fixed_factory())
+        t = ShardedMembershipTable(fixed_factory())
         t.heartbeat("a", 0, 0.0)
         assert "a" in t and len(t) == 1
 
     def test_explicit_register_required(self):
-        t = MembershipTable(fixed_factory(), auto_register=False)
+        t = ShardedMembershipTable(fixed_factory(), auto_register=False)
         with pytest.raises(ConfigurationError):
             t.heartbeat("ghost", 0, 0.0)
 
     def test_register_idempotent(self):
-        t = MembershipTable(fixed_factory())
+        t = ShardedMembershipTable(fixed_factory())
         a = t.register("a")
         assert t.register("a") is a
 
     def test_stale_sequence_dropped(self):
-        t = MembershipTable(fixed_factory())
+        t = ShardedMembershipTable(fixed_factory())
         t.heartbeat("a", 5, 0.0)
         st = t.heartbeat("a", 3, 0.1)
         assert st.stale_dropped == 1
         assert st.heartbeats == 1
 
     def test_statuses_with_binary_detector(self):
-        t = MembershipTable(fixed_factory(0.5))
+        t = ShardedMembershipTable(fixed_factory(0.5))
         last = feed_regular(t, "a")
         assert t.node("a").status(last + 0.1) is NodeStatus.ACTIVE
         assert t.node("a").status(last + 1.0) is NodeStatus.SUSPECT
 
     def test_statuses_with_accrual_detector(self):
-        t = MembershipTable(lambda nid: PhiFD(4.0, window_size=5))
+        t = ShardedMembershipTable(lambda nid: PhiFD(4.0, window_size=5))
         last = feed_regular(t, "a", n=12)
         assert t.node("a").status(last + 0.01) is NodeStatus.ACTIVE
         assert t.node("a").status(last + 100.0) is NodeStatus.DEAD
 
     def test_unknown_before_warmup(self):
-        t = MembershipTable(lambda nid: PhiFD(4.0, window_size=50))
+        t = ShardedMembershipTable(lambda nid: PhiFD(4.0, window_size=50))
         t.heartbeat("a", 0, 0.0)
         assert t.node("a").status(1.0) is NodeStatus.UNKNOWN
 
     def test_summary_and_select(self):
-        t = MembershipTable(fixed_factory(0.5))
+        t = ShardedMembershipTable(fixed_factory(0.5))
         feed_regular(t, "up", n=10, start=0.0)
         feed_regular(t, "down", n=5, start=0.0)  # stops early -> suspect
         now = 1.0
@@ -76,7 +76,7 @@ class TestMembershipTable:
         assert t.select(now, NodeStatus.ACTIVE) == ["up"]
 
     def test_remove(self):
-        t = MembershipTable(fixed_factory())
+        t = ShardedMembershipTable(fixed_factory())
         t.heartbeat("a", 0, 0.0)
         t.remove("a")
         assert "a" not in t
@@ -89,7 +89,7 @@ class TestMonitorGroup:
         """opinions: list of 'up'/'down' — one monitor each for node 'n'."""
         g = MonitorGroup()
         for i, op in enumerate(opinions):
-            t = MembershipTable(fixed_factory(0.5))
+            t = ShardedMembershipTable(fixed_factory(0.5))
             feed_regular(t, "n", n=10)
             if op == "down":
                 pass  # no further heartbeats: suspect at query time
@@ -110,21 +110,21 @@ class TestMonitorGroup:
 
     def test_explicit_quorum(self):
         g = MonitorGroup(quorum=1)
-        t = MembershipTable(fixed_factory(0.5))
+        t = ShardedMembershipTable(fixed_factory(0.5))
         feed_regular(t, "n", n=10)
         g.add_monitor("m", t)
         assert g.verdict("n", now=5.0).crashed
 
     def test_duplicate_monitor_rejected(self):
         g = MonitorGroup()
-        t = MembershipTable(fixed_factory())
+        t = ShardedMembershipTable(fixed_factory())
         g.add_monitor("m", t)
         with pytest.raises(ConfigurationError):
             g.add_monitor("m", t)
 
     def test_unknown_node_has_no_observers(self):
         g = MonitorGroup()
-        g.add_monitor("m", MembershipTable(fixed_factory()))
+        g.add_monitor("m", ShardedMembershipTable(fixed_factory()))
         v = g.verdict("ghost", now=1.0)
         assert v.observing == 0 and not v.crashed
 
@@ -189,7 +189,7 @@ class TestLiveQoSAccounting:
     def test_qos_counts_mistakes_and_td(self):
         from repro.errors import NotWarmedUpError
 
-        t = MembershipTable(fixed_factory(0.5), account_qos=True)
+        t = ShardedMembershipTable(fixed_factory(0.5), account_qos=True)
         # 10 regular beats, then a 2-second stall, then 3 more.
         times = [0.1 * i for i in range(10)]
         times += [times[-1] + 2.0 + 0.1 * i for i in range(3)]
@@ -204,7 +204,7 @@ class TestLiveQoSAccounting:
         assert qos.detection_time == pytest.approx(0.5)
 
     def test_disabled_by_default(self):
-        t = MembershipTable(fixed_factory(0.5))
+        t = ShardedMembershipTable(fixed_factory(0.5))
         feed_regular(t, "a")
         from repro.errors import NotWarmedUpError
 
@@ -214,7 +214,7 @@ class TestLiveQoSAccounting:
     def test_not_before_warmup(self):
         from repro.errors import NotWarmedUpError
 
-        t = MembershipTable(
+        t = ShardedMembershipTable(
             lambda nid: PhiFD(3.0, window_size=50), account_qos=True
         )
         t.heartbeat("a", 0, 0.0)
@@ -222,7 +222,7 @@ class TestLiveQoSAccounting:
             t.node("a").qos(1.0)
 
     def test_clean_feed_has_no_mistakes(self):
-        t = MembershipTable(fixed_factory(0.5), account_qos=True)
+        t = ShardedMembershipTable(fixed_factory(0.5), account_qos=True)
         last = feed_regular(t, "a", n=30)
         qos = t.node("a").qos(last)
         assert qos.mistakes == 0
@@ -231,7 +231,7 @@ class TestLiveQoSAccounting:
 
 class TestExpiry:
     def test_expires_silent_nodes(self):
-        t = MembershipTable(fixed_factory(0.5))
+        t = ShardedMembershipTable(fixed_factory(0.5))
         feed_regular(t, "old", n=5, start=0.0)     # last beat 0.4
         feed_regular(t, "fresh", n=5, start=50.0)  # last beat 50.4
         evicted = t.expire(now=51.0, silent_for=10.0)
@@ -239,27 +239,27 @@ class TestExpiry:
         assert "old" not in t and "fresh" in t
 
     def test_never_heartbeat_nodes_kept(self):
-        t = MembershipTable(fixed_factory())
+        t = ShardedMembershipTable(fixed_factory())
         t.register("pending")
         assert t.expire(now=1e9, silent_for=1.0) == []
         assert "pending" in t
 
     def test_validation(self):
-        t = MembershipTable(fixed_factory())
+        t = ShardedMembershipTable(fixed_factory())
         with pytest.raises(ConfigurationError):
             t.expire(now=1.0, silent_for=0.0)
 
 
 class TestRestartDetection:
     def test_small_regression_is_stale(self):
-        t = MembershipTable(fixed_factory())
+        t = ShardedMembershipTable(fixed_factory())
         feed_regular(t, "a", n=20)
         st = t.heartbeat("a", 15, 2.0)  # within the default reorder window
         assert st.stale_dropped == 1
         assert st.restarts == 0
 
     def test_large_regression_is_restart(self):
-        t = MembershipTable(fixed_factory(0.5))
+        t = ShardedMembershipTable(fixed_factory(0.5))
         feed_regular(t, "a", n=20)  # last_seq = 19
         st = t.heartbeat("a", 0, 5.0)  # way beyond any reordering
         assert st.restarts == 1
@@ -268,7 +268,7 @@ class TestRestartDetection:
         assert st.heartbeats == 21
 
     def test_restart_resets_detector_window(self):
-        t = MembershipTable(lambda nid: PhiFD(4.0, window_size=5))
+        t = ShardedMembershipTable(lambda nid: PhiFD(4.0, window_size=5))
         feed_regular(t, "a", n=12, interval=0.1)
         assert t.node("a").detector.ready
         t.heartbeat("a", 0, 60.0)
@@ -284,14 +284,14 @@ class TestRestartDetection:
     def test_restarted_node_keeps_same_detector_instance(self):
         # AccrualService bindings hold the detector object; reset() must
         # happen in place for them to follow the new incarnation.
-        t = MembershipTable(lambda nid: PhiFD(4.0, window_size=5))
+        t = ShardedMembershipTable(lambda nid: PhiFD(4.0, window_size=5))
         feed_regular(t, "a", n=12)
         det = t.node("a").detector
         t.heartbeat("a", 0, 60.0)
         assert t.node("a").detector is det
 
     def test_table_restart_total(self):
-        t = MembershipTable(fixed_factory())
+        t = ShardedMembershipTable(fixed_factory())
         feed_regular(t, "a", n=20)
         feed_regular(t, "b", n=20)
         t.heartbeat("a", 0, 5.0)
@@ -301,23 +301,23 @@ class TestRestartDetection:
         assert t.restarts == 2
 
     def test_reorder_window_zero_treats_any_regression_as_restart(self):
-        t = MembershipTable(fixed_factory(), reorder_window=0)
+        t = ShardedMembershipTable(fixed_factory(), reorder_window=0)
         feed_regular(t, "a", n=5)
         st = t.heartbeat("a", 3, 1.0)
         assert st.restarts == 1
 
     def test_duplicate_seq_is_stale_not_restart(self):
-        t = MembershipTable(fixed_factory())
+        t = ShardedMembershipTable(fixed_factory())
         feed_regular(t, "a", n=5)
         st = t.heartbeat("a", 4, 1.0)
         assert st.stale_dropped == 1 and st.restarts == 0
 
     def test_reorder_window_validation(self):
         with pytest.raises(ConfigurationError):
-            MembershipTable(fixed_factory(), reorder_window=-1)
+            ShardedMembershipTable(fixed_factory(), reorder_window=-1)
 
     def test_qos_accounting_restarts_with_node(self):
-        t = MembershipTable(fixed_factory(0.5), account_qos=True)
+        t = ShardedMembershipTable(fixed_factory(0.5), account_qos=True)
         feed_regular(t, "a", n=30)
         t.heartbeat("a", 0, 100.0)
         for i in range(1, 30):

@@ -2,8 +2,8 @@
 
 from repro.cluster import (
     GlobalMonitor,
-    MembershipTable,
     NodeStatus,
+    ShardedMembershipTable,
     SiteMonitor,
 )
 from repro.detectors import FixedTimeoutFD, PhiFD
@@ -14,7 +14,10 @@ def make_site(site: str, nodes: int = 3, *, n_beats: int = 25) -> SiteMonitor:
     ``0.1*(n_beats-1)``); with the default 25 beats they are alive through
     the t≈2 digests the tests take."""
     sm = SiteMonitor(
-        site, MembershipTable(lambda nid: FixedTimeoutFD(0.5), auto_register=True)
+        site,
+        ShardedMembershipTable(
+            lambda nid: FixedTimeoutFD(0.5), auto_register=True
+        ),
     )
     for j in range(nodes):
         for i in range(n_beats):

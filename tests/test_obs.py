@@ -285,10 +285,10 @@ class TestInstruments:
 
 class TestMembershipObservers:
     def test_transition_restart_and_stale_callbacks(self):
-        from repro.cluster.membership import MembershipTable
+        from repro.cluster.sharded import ShardedMembershipTable
 
         seen = {"trans": [], "restarts": [], "stale": []}
-        table = MembershipTable(
+        table = ShardedMembershipTable(
             lambda nid: PhiFD(2.0, window_size=4),
             reorder_window=2,
             on_transition=lambda n, old, new, at: seen["trans"].append((n, old, new)),
@@ -307,9 +307,9 @@ class TestMembershipObservers:
         assert statuses["a"] is not NodeStatus.ACTIVE
 
     def test_unknown_node_error_on_lookup(self):
-        from repro.cluster.membership import MembershipTable
+        from repro.cluster.sharded import ShardedMembershipTable
 
-        table = MembershipTable(lambda nid: PhiFD(2.0, window_size=4))
+        table = ShardedMembershipTable(lambda nid: PhiFD(2.0, window_size=4))
         with pytest.raises(UnknownNodeError):
             table.node("ghost")
         with pytest.raises(ConfigurationError):  # back-compat alias

@@ -236,54 +236,3 @@ def test_lognormal_delay_respects_floor_and_mean(mean, std, floor_frac, seed):
     # Analytic mean is exact; the sample mean converges to it.
     assert math.isclose(d.mean(), mean, rel_tol=1e-12)
     assert abs(float(s.mean()) - mean) < max(5 * std / math.sqrt(20_000), 0.05 * mean)
-
-
-@given(
-    st.floats(0.005, 0.2),     # base
-    st.lists(
-        st.tuples(st.floats(0.001, 0.2), st.floats(0.001, 2.0)),
-        min_size=0,
-        max_size=3,
-    ),
-    st.integers(0, 2**31 - 1),
-)
-@settings(max_examples=25, deadline=None)
-def test_stall_model_mean_matches_analytic(base, components, seed):
-    from repro.net.delay import StallModel
-
-    m = StallModel(base, jitter=0.0002, components=tuple(components))
-    s = m.sample(np.random.default_rng(seed), 100_000)
-    assert (s > 0).all()
-    tol = 5 * math.sqrt(max(m.variance, 1e-10) / 100_000) + 1e-4
-    assert abs(float(s.mean()) - m.mean()) < tol + 0.02 * m.mean()
-
-
-# --------------------------------------------------------------------- #
-# timeline properties
-# --------------------------------------------------------------------- #
-
-@given(monitor_views(), st.floats(0.0, 0.5))
-@settings(max_examples=25, deadline=None)
-def test_timeline_availability_matches_qap(view, alpha):
-    """Timeline availability == the QAP the metrics engine reports."""
-    from repro.qos.timeline import Timeline
-
-    r0 = 4
-    assume(len(view) >= r0 + 2)
-    assume(view.arrivals[-1] > view.arrivals[r0])
-    fp = chen_freshness(view, alpha, window=5)
-    tl = Timeline.from_freshness(view.arrivals[r0:], fp[r0:])
-    starts, ends = suspicion_intervals_from_freshness(
-        view.arrivals[r0:], fp[r0:]
-    )
-    qos = qos_from_intervals(
-        starts,
-        ends,
-        fp[r0:] - view.send_times[r0:],
-        t_begin=float(view.arrivals[r0]),
-        t_end=float(view.arrivals[-1]),
-    )
-    assert math.isclose(
-        tl.availability, qos.query_accuracy, rel_tol=1e-9, abs_tol=1e-12
-    )
-    assert tl.episodes == qos.mistakes

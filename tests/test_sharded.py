@@ -1,7 +1,7 @@
 """Sharded membership parity, the deadline wheel, and batched ingest.
 
 The sharded table's contract is *bit-for-bit equivalence* with the flat
-:class:`~repro.cluster.membership.MembershipTable` — same statuses (and
+scan-everything oracle in ``tests/flat_membership.py`` — same statuses (and
 iteration order), same transition edges at the same timestamps, same
 restart/stale accounting, same QoS reports, same expiries — while doing
 O(changed) work per query.  These tests prove the equivalence under
@@ -21,7 +21,6 @@ from repro.core import SFD
 from repro.qos.spec import QoSRequirements
 from repro.cluster import (
     DeadlineWheel,
-    MembershipTable,
     MonitorGroup,
     NodeStatus,
     ShardedMembershipTable,
@@ -40,6 +39,8 @@ from repro.runtime import (
     UDPHeartbeatListener,
     pack_heartbeat,
 )
+
+from flat_membership import MembershipTable
 
 # --------------------------------------------------------------------- #
 # DeadlineWheel
@@ -584,15 +585,6 @@ class TestMonitorGroupCache:
         assert group.crashed_nodes(3.0) == ["b", "c"]
         # Next call re-judges only the dirty set (empty now) — roster kept.
         assert group.crashed_nodes(3.05) == ["b", "c"]
-
-    def test_flat_member_falls_back_to_legacy_path(self):
-        flat = MembershipTable(lambda nid: FixedTimeoutFD(0.1))
-        for seq in range(12):
-            flat.heartbeat("a", seq, 0.1 * seq)
-        group = MonitorGroup()
-        group.add_monitor("m1", flat)
-        assert not group.verdict("a", now=1.05).crashed
-        assert group.crashed_nodes(3.0) == ["a"]
 
     def test_membership_shape_change_rebuilds_roster(self):
         t1 = _fed_table(1.0)

@@ -1,4 +1,4 @@
-"""Discrete-event simulator: engine, processes, crash detection, ping."""
+"""Discrete-event simulator: engine, processes, crash detection."""
 
 import math
 
@@ -12,7 +12,6 @@ from repro.sim import (
     CrashPlan,
     HeartbeatSender,
     MonitorProcess,
-    PingProcess,
     SimLink,
     Simulator,
 )
@@ -220,44 +219,3 @@ class TestHeartbeatEndToEnd:
         with pytest.raises(ConfigurationError):
             HeartbeatSender(sim, link, interval=0.1, jitter_std=-1.0)
 
-
-class TestPingProcess:
-    def test_rtt_statistics(self):
-        sim = Simulator()
-        rng = np.random.default_rng(2)
-        f = SimLink(sim, ConstantDelay(0.05), rng=rng)
-        r = SimLink(sim, ConstantDelay(0.07), rng=rng)
-        ping = PingProcess(sim, f, r, interval=1.0)
-        sim.run(until=30.0)
-        st = ping.stats()
-        assert st.connected
-        assert st.rtt_mean == pytest.approx(0.12)
-        assert st.rtt_std == pytest.approx(0.0, abs=1e-9)
-        assert st.sent == 31  # ticks at t=0..30 inclusive
-
-    def test_loss_on_path(self):
-        sim = Simulator()
-        rng = np.random.default_rng(2)
-        f = SimLink(sim, ConstantDelay(0.05), BernoulliLoss(0.5), rng=rng)
-        r = SimLink(sim, ConstantDelay(0.05), rng=rng)
-        ping = PingProcess(sim, f, r, interval=0.5)
-        sim.run(until=100.0)
-        st = ping.stats()
-        assert 0.3 < st.loss_rate < 0.7
-        assert st.connected
-
-    def test_empty_stats(self):
-        sim = Simulator()
-        f = SimLink(sim, ConstantDelay(0.05))
-        r = SimLink(sim, ConstantDelay(0.05))
-        ping = PingProcess(sim, f, r, interval=1.0)
-        st = ping.stats()
-        assert not st.connected
-        assert math.isnan(st.rtt_mean)
-
-    def test_interval_validation(self):
-        sim = Simulator()
-        f = SimLink(sim, ConstantDelay(0.05))
-        r = SimLink(sim, ConstantDelay(0.05))
-        with pytest.raises(ConfigurationError):
-            PingProcess(sim, f, r, interval=0.0)

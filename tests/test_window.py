@@ -101,6 +101,24 @@ class TestHeartbeatWindow:
             w.push(s, 0.1 * s + 0.02)
         assert w.interval_estimate() == pytest.approx(0.1)
 
+    @pytest.mark.parametrize("capacity", [2, 3, 7, 16])
+    def test_interval_estimate_matches_span_over_items(self, capacity):
+        # The estimate reads the two ring endpoints directly; it must equal
+        # the span formula over the materialized window at every fill
+        # level, before and after the ring wraps, with sequence gaps.
+        rng = np.random.default_rng(capacity)
+        w = HeartbeatWindow(capacity)
+        seq, t = 0, 0.0
+        for _ in range(5 * capacity + 3):
+            seq += int(rng.integers(1, 4))
+            t += float(rng.uniform(0.05, 0.3))
+            w.push(seq, t)
+            if len(w) < 2:
+                continue
+            arrs, seqs = w.items()
+            expected = float(arrs[-1] - arrs[0]) / int(seqs[-1] - seqs[0])
+            assert w.interval_estimate() == expected
+
     def test_interval_estimate_needs_two(self):
         w = HeartbeatWindow(4)
         w.push(0, 0.0)
