@@ -5,9 +5,9 @@ tractable in Python: the experiment engine must chew through
 multi-million-heartbeat traces per parameter point.  Two layers are
 timed here:
 
-* **kernels in isolation** — the vectorized Chen/Bertier/φ/SFD replays
-  on a pre-extracted in-memory view (the historical bench), plus the
-  per-event streaming reference on a slice;
+* **kernels in isolation** — the replay of every family (Chen, Bertier,
+  φ, SFD, quantile, ml) on a pre-extracted in-memory view, each with a
+  throughput floor, plus the per-event streaming reference on a slice;
 * **the full pipeline** — open a multi-million-heartbeat *columnar
   store* from disk, replay it, and produce a QoS report, which is what
   one sweep grid point actually costs.  The columnar format's zero-copy
@@ -33,7 +33,9 @@ from repro.qos.spec import QoSRequirements
 from repro.replay import (
     ChenSpec,
     BertierSpec,
+    MLSpec,
     PhiSpec,
+    QuantileSpec,
     SFDSpec,
     replay,
 )
@@ -97,6 +99,22 @@ def test_vectorized_sfd_throughput(benchmark, view):
     # The slot loop costs more than pure array code but must stay fast
     # enough for sweeps.
     assert len(view) / benchmark.stats["mean"] > 2e5
+
+
+def test_vectorized_quantile_throughput(benchmark, view):
+    # One pass of the sorted-window core per point (O(log W) search per
+    # heartbeat); the floor sits well above the ~6e4 hb/s of an
+    # np.quantile-per-window kernel, so a regression to one fails it.
+    spec = QuantileSpec(quantile=0.99, window=1000)
+    benchmark.pedantic(lambda: replay(spec, view), rounds=3, iterations=1)
+    assert len(view) / benchmark.stats["mean"] > 2e5
+
+
+def test_vectorized_ml_throughput(benchmark, view):
+    # The NLMS recursion is sequential: one Python step per heartbeat.
+    spec = MLSpec(margin=2.0)
+    benchmark.pedantic(lambda: replay(spec, view), rounds=3, iterations=1)
+    assert len(view) / benchmark.stats["mean"] > 1e5
 
 
 def test_streaming_reference_for_scale(benchmark, view):

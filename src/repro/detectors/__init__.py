@@ -26,7 +26,7 @@ freshness points exactly.
 """
 
 from repro.detectors.base import FailureDetector, TimeoutFailureDetector
-from repro.detectors.window import SampleWindow, HeartbeatWindow
+from repro.detectors.window import SampleWindow, SortedWindow, HeartbeatWindow
 from repro.detectors.estimation import (
     ChenEstimator,
     JacobsonEstimator,
@@ -56,6 +56,7 @@ __all__ = [
     "FailureDetector",
     "TimeoutFailureDetector",
     "SampleWindow",
+    "SortedWindow",
     "HeartbeatWindow",
     "ChenEstimator",
     "JacobsonEstimator",

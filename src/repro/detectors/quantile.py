@@ -15,17 +15,16 @@ family cannot be made more conservative than its own history — a
 structural limitation the QoS-curve comparison makes visible.
 
 The detector plugs into everything the others do: the replay engine
-(:func:`repro.replay.vectorized.quantile_freshness`), the sweep harness,
+(:func:`repro.replay.vectorized.quantile_freshness`, which runs the same
+:class:`~repro.detectors.window.SortedWindow` core), the sweep harness,
 and the general self-tuning wrapper (``knob="quantile"``, monotone).
 """
 
 from __future__ import annotations
 
-import numpy as np
-
-from repro.errors import ConfigurationError, NotWarmedUpError
+from repro.errors import ConfigurationError
 from repro.detectors.base import TimeoutFailureDetector
-from repro.detectors.window import SampleWindow
+from repro.detectors.window import SortedWindow
 
 __all__ = ["QuantileFD"]
 
@@ -43,9 +42,10 @@ class QuantileFD(TimeoutFailureDetector):
 
     Notes
     -----
-    Each freshness point costs ``O(window)`` (a selection over the live
-    samples) versus the O(1) of the moment-based detectors — the price of
-    being distribution-free.
+    The window is kept sorted (:class:`~repro.detectors.window.SortedWindow`),
+    so a heartbeat costs an O(log window) search plus a list memmove and a
+    freshness point is an O(1) lookup — bit-identical to ``np.quantile``
+    over the window, which would cost an O(window) selection each time.
     """
 
     name = "quantile"
@@ -57,7 +57,7 @@ class QuantileFD(TimeoutFailureDetector):
             )
         super().__init__(warmup=max(2, window_size))
         self.quantile = float(quantile)
-        self._window = SampleWindow(window_size)
+        self._window = SortedWindow(window_size)
         self._prev_arrival: float | None = None
 
     @property
@@ -70,10 +70,12 @@ class QuantileFD(TimeoutFailureDetector):
         self._prev_arrival = arrival
 
     def current_timeout(self) -> float:
-        """The windowed ``q``-quantile (relative timeout)."""
-        if len(self._window) == 0:
-            raise NotWarmedUpError("quantile FD has no samples yet")
-        return float(np.quantile(self._window.values(), self.quantile))
+        """The windowed ``q``-quantile (relative timeout).
+
+        ``q`` is read on every call, so a self-tuning wrapper's
+        ``setattr`` of ``quantile`` takes effect at the next heartbeat.
+        """
+        return self._window.quantile(self.quantile)
 
     def _next_freshness(self) -> float:
         return self.last_arrival + self.current_timeout()

@@ -1,11 +1,12 @@
-"""Sliding sample windows backed by preallocated numpy ring buffers.
+"""Sliding sample windows backed by preallocated ring buffers.
 
 Every adaptive detector in the paper keeps "the most recent n samples in a
 sliding window" (Sections III and IV-C).  The windows here give O(1)
 insertion and O(1) running mean/variance (maintained sums, not rescans), so
 streaming detectors stay cheap even with the paper's WS = 1000 default, and
 tiny windows — which Section V-C reports are *better* for Chen FD and SFD —
-cost nothing.
+cost nothing.  :class:`SortedWindow` adds order statistics (the quantile
+family) at O(log W) search per insertion.
 
 Numerical note: running sums drift after ~1e7 float64 additions; the
 windows recompute their sums from the buffer every ``RECOMPUTE_EVERY``
@@ -16,12 +17,13 @@ cost.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, insort
 
 import numpy as np
 
 from repro.errors import ConfigurationError, NotWarmedUpError
 
-__all__ = ["SampleWindow", "HeartbeatWindow"]
+__all__ = ["SampleWindow", "SortedWindow", "HeartbeatWindow"]
 
 #: Refresh running sums from the raw buffer this often (amortized O(1)).
 RECOMPUTE_EVERY = 65536
@@ -126,6 +128,85 @@ class SampleWindow:
         self._sum = 0.0
         self._sumsq = 0.0
         self._pushes = 0
+
+
+class SortedWindow:
+    """Fixed-capacity sliding window kept in sorted order.
+
+    The order-statistic core of the ``quantile`` family, shared by the
+    streaming :class:`~repro.detectors.quantile.QuantileFD` and the replay
+    kernel :func:`~repro.replay.vectorized.quantile_freshness`.  A ring of
+    the last ``capacity`` samples records eviction order; a sorted list
+    answers order statistics.  A push is a ``bisect`` insert plus, once
+    full, a ``bisect_left`` + ``del`` of the oldest sample — O(log W)
+    search and a W-word memmove, against the O(W) selection of
+    ``np.quantile`` over the window.
+
+    Parameters
+    ----------
+    capacity:
+        Window size ``WS`` (number of retained samples), must be >= 1.
+    """
+
+    __slots__ = ("_ring", "_sorted", "_capacity", "_head")
+
+    def __init__(self, capacity: int):
+        if capacity < 1:
+            raise ConfigurationError(f"window capacity must be >= 1, got {capacity!r}")
+        self._capacity = int(capacity)
+        self._ring = [0.0] * self._capacity
+        self._sorted: list[float] = []
+        self._head = 0  # next write slot (the oldest sample once full)
+
+    @property
+    def capacity(self) -> int:
+        return self._capacity
+
+    def __len__(self) -> int:
+        return len(self._sorted)
+
+    def push(self, value: float) -> None:
+        """Insert ``value``, evicting the oldest sample once full."""
+        value = float(value)
+        if not math.isfinite(value):
+            raise ConfigurationError(f"window samples must be finite, got {value!r}")
+        ordered = self._sorted
+        head = self._head
+        if len(ordered) == self._capacity:
+            # Equal floats are interchangeable, so any copy of the evicted
+            # value may go.
+            del ordered[bisect_left(ordered, self._ring[head])]
+        insort(ordered, value)
+        self._ring[head] = value
+        self._head = (head + 1) % self._capacity
+
+    def quantile(self, q: float) -> float:
+        """The ``q``-quantile of the live samples, equal to ``np.quantile``.
+
+        Copies numpy's default ``linear`` method operation for operation
+        (virtual index ``(n−1)·q``; its ``_lerp``, including the
+        ``γ ≥ 0.5`` branch that interpolates back from the upper
+        neighbour), so the result is bit-identical, not merely close.
+        """
+        ordered = self._sorted
+        n = len(ordered)
+        if n == 0:
+            raise NotWarmedUpError("window is empty")
+        virtual = (n - 1) * q
+        if virtual >= n - 1:
+            return ordered[-1]
+        lo = math.floor(virtual)
+        gamma = virtual - lo
+        a = ordered[lo]
+        b = ordered[lo + 1]
+        diff = b - a
+        if gamma >= 0.5:
+            return b - diff * (1 - gamma)
+        return a + diff * gamma
+
+    def clear(self) -> None:
+        self._sorted.clear()
+        self._head = 0
 
 
 class HeartbeatWindow:

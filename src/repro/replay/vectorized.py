@@ -22,6 +22,9 @@ Key identities used (derivations in the docstrings):
   conservative range").
 * SFD's margin changes only at slot boundaries, so its replay is a loop
   over ~(heartbeats/slot) slots with vectorized work inside each.
+* A sliding quantile has no closed form: the quantile kernel runs the
+  streaming detector's sorted-window core over the inter-arrivals, as
+  the ``ml`` kernel runs its NLMS core.
 """
 
 from __future__ import annotations
@@ -44,6 +47,7 @@ from repro.core.feedback import (
 )
 from repro.detectors.ml import ML_JITTER_FLOOR, OnlineArrivalPredictor
 from repro.detectors.phi import SIGMA_FLOOR
+from repro.detectors.window import SortedWindow
 from repro.qos.spec import QoSRequirements, Satisfaction
 from repro.traces.trace import MonitorView
 
@@ -218,37 +222,30 @@ def quantile_freshness(
     quantile: float,
     *,
     window: int = 1000,
-    chunk: int = 8192,
 ) -> np.ndarray:
     """Quantile-timeout FD freshness points (the [34-35] family).
 
-    ``FP[r] = A_r + Quantile_q(trailing inter-arrivals)``.  Sliding
-    quantiles have no O(1) update, so this runs
-    :func:`numpy.lib.stride_tricks.sliding_window_view` +
-    ``np.quantile`` in row blocks of ``chunk`` to bound memory at
-    ``chunk × window`` floats — O(n·window) work, still far faster than
-    the streaming loop.
+    ``FP[r] = A_r + Quantile_q(trailing inter-arrivals)``, the window
+    holding the last ``min(r, window)`` gaps.  Sliding quantiles have no
+    closed form, so this runs the streaming detector's own sorted-window
+    core (:class:`~repro.detectors.window.SortedWindow`) over
+    ``np.diff(arrivals)`` — O(log window) search per heartbeat and
+    bit-identical to :class:`~repro.detectors.quantile.QuantileFD` by
+    construction.  Index 0 is NaN (no gap yet).
     """
     _require_view(view, 2)
     if not (0.0 < quantile <= 1.0):
         raise ConfigurationError(f"quantile must lie in (0, 1], got {quantile!r}")
     arrivals = view.arrivals
-    n = arrivals.size
-    fp = np.full(n, np.nan, dtype=np.float64)
-    x = np.diff(arrivals)
+    timeout = np.full(arrivals.size, np.nan, dtype=np.float64)
     q = float(quantile)
-    # Partial windows for r < window: quantile over x[:r].
-    head = min(window, x.size)
-    for j in range(1, head):
-        fp[j] = arrivals[j] + float(np.quantile(x[:j], q))
-    if x.size >= window:
-        sw = np.lib.stride_tricks.sliding_window_view(x, window)
-        out = np.empty(sw.shape[0], dtype=np.float64)
-        for lo in range(0, sw.shape[0], chunk):
-            hi = min(lo + chunk, sw.shape[0])
-            out[lo:hi] = np.quantile(sw[lo:hi], q, axis=1)
-        fp[window:] = arrivals[window:] + out
-    return fp
+    core = SortedWindow(window)
+    push = core.push
+    order_stat = core.quantile
+    for j, gap in enumerate(np.diff(arrivals).tolist(), start=1):
+        push(gap)
+        timeout[j] = order_stat(q)
+    return arrivals + timeout
 
 
 def fixed_freshness(view: MonitorView, timeout: float) -> np.ndarray:

@@ -284,3 +284,38 @@ class TestQuantileFD:
         feed_regular(fd, n=20)
         fd.reset()
         assert not fd.ready
+        with pytest.raises(NotWarmedUpError):
+            fd.current_timeout()
+        # Only post-reset gaps count: the old 0.1 s history is gone.
+        feed_regular(fd, n=3, interval=0.5)
+        assert fd.current_timeout() == pytest.approx(0.5)
+
+    def test_selftuned_quantile_reaches_next_timeout(self):
+        """``SelfTuningMonitor(knob="quantile")`` sets the attribute; the
+        very next timeout must be the window quantile at the new value."""
+        from repro.core import SelfTuningMonitor, SlotConfig
+        from repro.detectors import QuantileFD
+        from repro.qos.spec import QoSRequirements
+
+        window = 20
+        fd = QuantileFD(0.5, window_size=window)
+        mon = SelfTuningMonitor(
+            fd,
+            "quantile",
+            QoSRequirements(max_mistake_rate=0.01, min_query_accuracy=0.999),
+            alpha=0.2,
+            slot=SlotConfig(10),
+            knob_bounds=(0.01, 1.0),
+        )
+        rng = np.random.default_rng(3)
+        gaps = 0.1 + rng.exponential(0.02, size=300)
+        arrivals = np.cumsum(gaps)
+        knobs = set()
+        for i, a in enumerate(arrivals.tolist()):
+            mon.observe(i, a)
+            if not mon.ready:
+                continue
+            knobs.add(mon.knob_value)
+            live = np.diff(arrivals[: i + 1])[-window:]
+            assert fd.current_timeout() == float(np.quantile(live, mon.knob_value))
+        assert len(knobs) > 1

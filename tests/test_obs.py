@@ -343,10 +343,17 @@ class TestAcceptance:
                     break
             server = MetricsServer(ins.registry, events=ins.events)
             await server.start()
+            # Freeze the stream before scraping: a sender still running
+            # while ``http_get`` awaits lets the listener count heartbeats
+            # after the body was rendered and before the table is read.
+            await sender.stop()
+            for _ in range(200):  # drain what is already in flight
+                if monitor.received >= sender.sent:
+                    break
+                await asyncio.sleep(0.005)
             status, body = await http_get(server.url)
             state = monitor.table.node("node-a")
             table_total = state.heartbeats + state.stale_dropped
-            await sender.stop()
             await monitor.stop()
             await server.stop()
             return status, body, table_total, ins

@@ -1,10 +1,17 @@
-"""Sliding sample windows: correctness of the O(1) running statistics."""
+"""Sliding sample windows: correctness of the O(1) running statistics
+and of the sorted window's order statistics."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import ConfigurationError, NotWarmedUpError
-from repro.detectors.window import RECOMPUTE_EVERY, HeartbeatWindow, SampleWindow
+from repro.detectors.window import (
+    RECOMPUTE_EVERY,
+    HeartbeatWindow,
+    SampleWindow,
+    SortedWindow,
+)
 
 
 class TestSampleWindow:
@@ -69,6 +76,74 @@ class TestSampleWindow:
         for x in data:
             w.push(x)
         assert w.mean == pytest.approx(np.mean(data[-8:]))
+
+
+QUANTILES = (1e-6, 0.5, 0.9, 0.99, 1.0)
+
+# A small pool makes ties (and evicting one copy of a tied value) common;
+# arbitrary finite floats cover everything else.
+samples = st.one_of(
+    st.sampled_from([0.0, 0.1, 0.1, 0.7, 1.0, 2.5]),
+    st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),
+)
+
+
+class TestSortedWindow:
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_quantile_equals_numpy_after_every_push(self, data):
+        capacity = data.draw(st.integers(1, 8), label="capacity")
+        values = data.draw(
+            st.lists(samples, min_size=1, max_size=capacity + 12), label="values"
+        )
+        w = SortedWindow(capacity)
+        for i, x in enumerate(values):
+            w.push(x)
+            live = np.array(values[max(0, i + 1 - capacity) : i + 1])
+            assert len(w) == live.size
+            for q in QUANTILES:
+                assert w.quantile(q) == float(np.quantile(live, q))
+
+    def test_gamma_one_half_takes_numpys_upper_branch(self):
+        # (n−1)·q = 0.5 exactly: numpy interpolates back from the upper
+        # neighbour, which rounds differently from a + (b−a)/2 here.
+        w = SortedWindow(2)
+        w.push(0.7)
+        w.push(0.1)
+        assert w.quantile(0.5) == float(np.quantile([0.7, 0.1], 0.5))
+        assert w.quantile(0.5) != 0.1 + (0.7 - 0.1) * 0.5
+
+    def test_evicting_a_duplicate_keeps_the_other_copy(self):
+        w = SortedWindow(3)
+        for x in (1.0, 1.0, 2.0, 3.0):  # the first 1.0 is evicted
+            w.push(x)
+        assert w.quantile(0.0) == 1.0
+        w.push(4.0)  # the second 1.0 goes
+        assert w.quantile(0.0) == 2.0
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_rejects_nonfinite(self, bad):
+        w = SortedWindow(4)
+        w.push(1.0)
+        with pytest.raises(ConfigurationError):
+            w.push(bad)
+        assert len(w) == 1 and w.quantile(0.5) == 1.0
+
+    def test_capacity_validation(self):
+        with pytest.raises(ConfigurationError):
+            SortedWindow(0)
+
+    def test_clear_empties_sorted_state(self):
+        w = SortedWindow(3)
+        for x in (5.0, 1.0, 3.0, 2.0):
+            w.push(x)
+        w.clear()
+        assert len(w) == 0
+        with pytest.raises(NotWarmedUpError):
+            w.quantile(0.5)
+        for x in (9.0, 7.0):
+            w.push(x)
+        assert w.quantile(0.0) == 7.0 and w.quantile(1.0) == 9.0
 
 
 class TestHeartbeatWindow:
