@@ -8,6 +8,8 @@ timed here:
 * **kernels in isolation** — the replay of every family (Chen, Bertier,
   φ, SFD, quantile, ml) on a pre-extracted in-memory view, each with a
   throughput floor, plus the per-event streaming reference on a slice;
+* **grid batching** — a family's ``sweep_kernel`` over a sweep group
+  against the same number of per-point replays (``BENCH_grid_batching.json``);
 * **the full pipeline** — open a multi-million-heartbeat *columnar
   store* from disk, replay it, and produce a QoS report, which is what
   one sweep grid point actually costs.  The columnar format's zero-copy
@@ -27,7 +29,7 @@ import numpy as np
 import pytest
 
 from repro.core import SlotConfig
-from repro.detectors import ChenFD
+from repro.detectors import ChenFD, registry
 from repro.obs import Instruments
 from repro.qos.spec import QoSRequirements
 from repro.replay import (
@@ -115,6 +117,58 @@ def test_vectorized_ml_throughput(benchmark, view):
     spec = MLSpec(margin=2.0)
     benchmark.pedantic(lambda: replay(spec, view), rounds=3, iterations=1)
     assert len(view) / benchmark.stats["mean"] > 1e5
+
+
+#: Sweep groups timed by the grid-batching gate, at window 1000.
+BATCHED_GRIDS = {"quantile": (0.9, 0.99, 0.999, 1.0), "ml": (1.0, 4.0)}
+
+
+def test_grid_batched_sweep_speedup(view):
+    """One ``sweep_kernel`` call must beat per-point replays of its group.
+
+    Both families' sequential cores (sorted window, NLMS) are independent
+    of the swept value, so a batched group pays them once.  Timed with
+    interleaved min-of-N CPU time, best of up to 3 rounds (as
+    ``test_instrumentation_overhead``: host drift here moves single
+    rounds by ±30%); a ratio, not a rate, is asserted so a slow runner
+    does not flap.  The per-point side includes accounting, as a sweep's
+    per-point jobs do.
+    """
+    ratios = {}
+    for name, grid in BATCHED_GRIDS.items():
+        fam = registry.get(name)
+        specs = [fam.grid_spec(v, window=1000) for v in grid]
+        best = None
+        for _ in range(3):
+            batched, per_point = interleaved_min(
+                3,
+                (
+                    lambda: fam.sweep_kernel(view, specs),
+                    lambda: [replay(spec, view) for spec in specs],
+                ),
+            )
+            if best is None or per_point / batched > best["speedup"]:
+                best = {
+                    "points": len(specs),
+                    "batched_s": batched,
+                    "per_point_s": per_point,
+                    "speedup": per_point / batched,
+                }
+            if best["speedup"] >= 1.5:
+                break
+        ratios[name] = best
+    emit(
+        "grid_batching",
+        "grid-batched sweep kernels vs per-point replay (window 1000): "
+        + ", ".join(
+            f"{name} x{r['points']} {r['per_point_s']:.2f} s -> "
+            f"{r['batched_s']:.2f} s ({r['speedup']:.2f}x)"
+            for name, r in ratios.items()
+        ),
+        data={"heartbeats": len(view), "families": ratios},
+    )
+    for name, r in ratios.items():
+        assert r["speedup"] >= 1.5, (name, r)
 
 
 def test_streaming_reference_for_scale(benchmark, view):

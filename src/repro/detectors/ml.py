@@ -6,7 +6,7 @@ be replaced wholesale by a *learned* arrival-time predictor trained online
 on the heartbeat stream itself.  This module is that family, kept honest
 by the same contracts every other family obeys: a streaming
 :class:`MLFD` here, an exactly-matching replay kernel
-(:func:`repro.replay.vectorized.ml_freshness`), and registry descriptors
+(:func:`repro.replay.vectorized.ml_freshness_grid`), and registry descriptors
 binding spec, grid, and parser (``ml:lr=0.05,window=16,margin=2.0``).
 
 The model is deliberately lightweight — normalized least-mean-squares

@@ -15,8 +15,9 @@ family cannot be made more conservative than its own history — a
 structural limitation the QoS-curve comparison makes visible.
 
 The detector plugs into everything the others do: the replay engine
-(:func:`repro.replay.vectorized.quantile_freshness`, which runs the same
-:class:`~repro.detectors.window.SortedWindow` core), the sweep harness,
+(:func:`repro.replay.vectorized.quantile_freshness_grid`, which runs the
+same :class:`~repro.detectors.window.SortedWindow` core once for a whole
+grid of ``q``), the sweep harness,
 and the general self-tuning wrapper (``knob="quantile"``, monotone).
 """
 

@@ -11,6 +11,8 @@ binds together everything the rest of the library needs to host a family:
 * the frozen replay ``*Spec`` dataclass (with ``to_dict``/``from_dict``
   round-tripping for configs and archives),
 * the vectorized freshness kernel used by :func:`repro.replay.engine.replay`,
+  and optionally a grid-batched ``sweep_kernel`` serving a whole sweep
+  grid from one pass,
 * the default sweep grid, ordered aggressive → conservative (Section V's
   "vary its parameter from a highly aggressive behavior to a very
   conservative one"),
@@ -36,9 +38,10 @@ acyclic.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Mapping
+from typing import Any, Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -67,8 +70,10 @@ from repro.replay.vectorized import (
     chen_freshness,
     fixed_freshness,
     ml_freshness,
+    ml_freshness_grid,
     phi_freshness,
     quantile_freshness,
+    quantile_freshness_grid,
     sfd_freshness,
 )
 from repro.traces.trace import MonitorView
@@ -160,6 +165,14 @@ class DetectorFamily:
         Optional hook mapping parsed key/value pairs onto spec-constructor
         kwargs (used by SFD to fold ``td``/``mr``/``qap`` into a
         :class:`~repro.qos.spec.QoSRequirements`, etc.).
+    sweep_kernel:
+        Optional ``sweep_kernel(view, specs) -> list[KernelRun]``: the
+        runs of a group of specs differing only in :attr:`sweep_param`,
+        in order, each bit-identical to ``kernel(view, spec)``.  Families
+        whose sequential core does not depend on the swept value declare
+        it so a sweep pays that core once
+        (:class:`~repro.replay.engine.SweepGroup`); a group whose other
+        fields differ raises :class:`~repro.errors.ConfigurationError`.
     """
 
     name: str
@@ -172,6 +185,7 @@ class DetectorFamily:
     build: Callable[[Any], FailureDetector]
     parse_defaults: Mapping[str, Any] = field(default_factory=dict)
     normalize: Callable[[dict[str, Any]], dict[str, Any]] | None = None
+    sweep_kernel: Callable[[MonitorView, Sequence[Any]], list[KernelRun]] | None = None
 
     # -- spec construction --------------------------------------------- #
 
@@ -280,6 +294,18 @@ def _quantile_kernel(view: MonitorView, spec: QuantileSpec) -> KernelRun:
     return KernelRun(quantile_freshness(view, spec.quantile, window=spec.window))
 
 
+def _quantile_sweep_kernel(
+    view: MonitorView, specs: Sequence[QuantileSpec]
+) -> list[KernelRun]:
+    shared = _shared_spec(specs, "quantile")
+    return [
+        KernelRun(fp)
+        for fp in quantile_freshness_grid(
+            view, [s.quantile for s in specs], window=shared.window
+        )
+    ]
+
+
 def _fixed_kernel(view: MonitorView, spec: FixedSpec) -> KernelRun:
     return KernelRun(fixed_freshness(view, spec.timeout))
 
@@ -290,6 +316,33 @@ def _ml_kernel(view: MonitorView, spec: MLSpec) -> KernelRun:
             view, spec.margin, lr=spec.lr, window=spec.window, decay=spec.decay
         )
     )
+
+
+def _ml_sweep_kernel(view: MonitorView, specs: Sequence[MLSpec]) -> list[KernelRun]:
+    shared = _shared_spec(specs, "margin")
+    return [
+        KernelRun(fp)
+        for fp in ml_freshness_grid(
+            view,
+            [s.margin for s in specs],
+            lr=shared.lr,
+            window=shared.window,
+            decay=shared.decay,
+        )
+    ]
+
+
+def _shared_spec(specs: Sequence[Any], swept: str):
+    """The first spec of a (non-empty) sweep group, after checking that
+    every member differs from it in ``swept`` alone."""
+    first = specs[0]
+    for spec in specs[1:]:
+        if dataclasses.replace(spec, **{swept: getattr(first, swept)}) != first:
+            raise ConfigurationError(
+                f"a sweep group may differ only in {swept!r}: "
+                f"{first!r} vs {spec!r}"
+            )
+    return first
 
 
 def _sfd_kernel(view: MonitorView, spec: SFDSpec) -> KernelRun:
@@ -644,6 +697,7 @@ QUANTILE = register(
         streaming_cls=QuantileFD,
         spec_cls=QuantileSpec,
         kernel=_quantile_kernel,
+        sweep_kernel=_quantile_sweep_kernel,
         default_grid=_grid((0.5, 0.8, 0.9, 0.95, 0.99, 0.995, 0.999, 0.9999, 1.0)),
         sweep_param="quantile",
         build=_build_quantile,
@@ -689,6 +743,7 @@ ML = register(
         streaming_cls=MLFD,
         spec_cls=MLSpec,
         kernel=_ml_kernel,
+        sweep_kernel=_ml_sweep_kernel,
         # Margin in learned-jitter units, aggressive → conservative: 0
         # trusts the raw prediction; the top of the range is comparable to
         # φ's most conservative finite thresholds on the WAN traces.

@@ -135,7 +135,7 @@ class SortedWindow:
 
     The order-statistic core of the ``quantile`` family, shared by the
     streaming :class:`~repro.detectors.quantile.QuantileFD` and the replay
-    kernel :func:`~repro.replay.vectorized.quantile_freshness`.  A ring of
+    kernel :func:`~repro.replay.vectorized.quantile_freshness_grid`.  A ring of
     the last ``capacity`` samples records eviction order; a sorted list
     answers order statistics.  A push is a ``bisect`` insert plus, once
     full, a ``bisect_left`` + ``del`` of the oldest sample — O(log W)

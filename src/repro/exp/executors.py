@@ -146,8 +146,12 @@ def default_jobs() -> int:
 def _execute(
     job: ReplayJob, view: MonitorView | TraceStore, instruments=None
 ) -> QoSReport:
-    """The one shared job body — both executors produce identical numbers."""
-    return replay(job.spec, view, instruments=instruments).qos
+    """The one shared job body — both executors produce identical numbers.
+
+    In process, ``job.group`` lets the job share its sweep's batched
+    kernel pass; a job that crossed into a pool worker carries none.
+    """
+    return replay(job.spec, view, instruments=instruments, group=job.group).qos
 
 
 def _retry_hook(instruments, kind: str, job: ReplayJob) -> None:

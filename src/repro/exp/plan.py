@@ -19,7 +19,11 @@ makes that unit explicit:
   reassembles the per-point QoS reports into
   :class:`~repro.qos.area.QoSCurve`\\ s **in sweep order**, regardless of
   completion order — which is what keeps figure outputs bit-identical
-  between serial and parallel runs.
+  between serial and parallel runs,
+* each job it runs carries its sweep's
+  :class:`~repro.replay.engine.SweepGroup`, so in-process executors pay
+  a family's grid-independent kernel pass once per sweep, not once per
+  point.
 
 The separation of detection logic from the execution/aggregation layer
 follows Dobre et al.'s architecture argument; the config-file front end
@@ -28,6 +32,7 @@ lives in :mod:`repro.exp.config`.
 
 from __future__ import annotations
 
+import dataclasses
 import inspect
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -39,6 +44,7 @@ from repro.exp.archive import check_archive_name
 from repro.exp.policy import ExecutionResult, FailureReport
 from repro.qos.area import QoSCurve
 from repro.qos.spec import QoSReport
+from repro.replay.engine import SweepGroup
 from repro.traces.columnar import TraceStore, is_columnar
 from repro.traces.trace import HeartbeatTrace, MonitorView
 
@@ -100,6 +106,10 @@ class ReplayJob:
     plan expansion (``index``), and know which curve point they produce
     (``trace``/``sweep``/``parameter``) so executors may run them in any
     order and the plan can still reassemble curves deterministically.
+
+    ``group`` is the :class:`~repro.replay.engine.SweepGroup` the job
+    shares with its sweep's other points in one run.  It is process-local:
+    equality ignores it and a pickled job drops it.
     """
 
     index: int
@@ -108,6 +118,13 @@ class ReplayJob:
     family: str
     parameter: float
     spec: Any
+    group: SweepGroup | None = field(default=None, compare=False, repr=False)
+
+    def __reduce__(self):
+        return (
+            ReplayJob,
+            (self.index, self.trace, self.sweep, self.family, self.parameter, self.spec),
+        )
 
     def describe(self) -> str:
         """Human-oriented job label for logs and failure reports."""
@@ -332,6 +349,13 @@ class ExperimentPlan:
         already holds them; :func:`repro.exp.config.merge_config`
         reassembles full curves from shards sharing a cache directory.
 
+        Every job handed to the executor carries the
+        :class:`~repro.replay.engine.SweepGroup` of its sweep declaration:
+        the specs of that sweep this run replays, after cache and shard
+        filtering.  In-process executors thereby run a family's
+        ``sweep_kernel`` once per group; pool workers receive jobs without
+        it and replay per point.  Groups are released when the run ends.
+
         ``progress`` (a :class:`~repro.exp.progress.RunProgress`) turns
         the run observable: job completions stream through ``on_result``,
         retry/quarantine hooks are teed off the instruments seam, and the
@@ -369,6 +393,14 @@ class ExperimentPlan:
                     reports[job.index] = qos
                 elif shard is None or job.index % shard[1] == shard[0]:
                     misses.append(job)
+        members: dict[tuple[str, str], list] = {}
+        for job in misses:
+            members.setdefault((job.trace, job.sweep), []).append(job.spec)
+        groups = {key: SweepGroup(specs) for key, specs in members.items()}
+        misses = [
+            dataclasses.replace(job, group=groups[job.trace, job.sweep])
+            for job in misses
+        ]
 
         def store(job: ReplayJob, qos: QoSReport) -> None:
             cache.store(
@@ -433,6 +465,9 @@ class ExperimentPlan:
             if progress is not None:
                 progress.finish("failed")
             raise
+        finally:
+            for group in groups.values():
+                group.release()
         if cache is not None:
             from repro.exp.cache import CacheStats
 

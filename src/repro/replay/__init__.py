@@ -18,11 +18,11 @@ from repro.replay.vectorized import (
     bertier_freshness,
     phi_freshness,
     quantile_freshness,
+    quantile_freshness_grid,
     fixed_freshness,
-    ml_prediction_arrays,
     ml_freshness,
+    ml_freshness_grid,
     sfd_freshness,
-    SFDReplay,
 )
 from repro.replay.engine import (
     ReplayResult,
@@ -43,11 +43,11 @@ __all__ = [
     "bertier_freshness",
     "phi_freshness",
     "quantile_freshness",
+    "quantile_freshness_grid",
     "fixed_freshness",
-    "ml_prediction_arrays",
     "ml_freshness",
+    "ml_freshness_grid",
     "sfd_freshness",
-    "SFDReplay",
     "ReplayResult",
     "ReplaySpec",
     "ChenSpec",

@@ -14,6 +14,11 @@ tag, and :func:`replay` resolves the vectorized kernel through
 edit here — register a :class:`~repro.detectors.registry.DetectorFamily`
 and its spec replays.  (Per-family ``isinstance`` ladders are banned in
 this package; ``tests/test_repo_hygiene.py`` enforces it.)
+
+A :class:`SweepGroup` lets the sibling points of one sweep share one
+kernel pass: when the family declares a ``sweep_kernel``, the first
+replay of a group member runs it for every member and the others take
+their precomputed run.
 """
 
 from __future__ import annotations
@@ -45,6 +50,7 @@ __all__ = [
     "QuantileSpec",
     "MLSpec",
     "SFDSpec",
+    "SweepGroup",
     "replay",
 ]
 
@@ -317,11 +323,60 @@ def _account(
     )
 
 
+class SweepGroup:
+    """The specs of one sweep that one plan run replays, batched.
+
+    :meth:`repro.exp.plan.ExperimentPlan.run` builds one group per sweep
+    declaration from the points it will actually replay (after cache and
+    shard filtering) and hands it to every one of those jobs.  For a
+    family with a ``sweep_kernel`` the first member replayed computes
+    every member's :class:`~repro.detectors.registry.KernelRun` in one
+    call and parks them here; each member then takes (and drops) its
+    own.  A member whose run is not parked — taken by an earlier attempt
+    of the same job, or the group already released — falls back to the
+    per-point kernel, which is bit-identical by contract.
+    If the batched call raises, every member falls back too, so a bad
+    grid point fails alone, as it would per point.
+
+    The holder lives in one process: ``ReplayJob`` pickles without it,
+    so process-pool workers replay per point.
+    """
+
+    __slots__ = ("specs", "_runs")
+
+    def __init__(self, specs) -> None:
+        self.specs = tuple(specs)
+        self._runs: dict[int, Any] | None = None  # member position -> run
+
+    def take(self, family, view: MonitorView, spec):
+        """The kernel run of member ``spec``, batching on first use."""
+        if self._runs is None:
+            try:
+                runs = family.sweep_kernel(view, self.specs)
+            except Exception:
+                runs = ()  # replay each member per point instead
+            self._runs = dict(enumerate(runs))
+        for position, member in enumerate(self.specs):
+            if member == spec:
+                run = self._runs.pop(position, None)
+                if run is not None:
+                    return run
+        return family.kernel(view, spec)
+
+    def release(self) -> None:
+        """Drop every parked run; later members replay per point."""
+        self._runs = {}
+
+
 ReplaySource = Union[MonitorView, HeartbeatTrace, TraceStore, str, Path]
 
 
 def replay(
-    spec: Spec, source: ReplaySource, *, instruments=None
+    spec: Spec,
+    source: ReplaySource,
+    *,
+    instruments=None,
+    group: SweepGroup | None = None,
 ) -> ReplayResult:
     """Run one detector spec over one trace source.
 
@@ -340,6 +395,10 @@ def replay(
     ``instruments`` (a :class:`repro.obs.Instruments` bundle) records the
     replay's throughput — heartbeats, wall seconds, heartbeats/second —
     and the resulting QoS per detector family.
+
+    ``group`` (a :class:`SweepGroup` holding ``spec``) lets a family with
+    a ``sweep_kernel`` serve the whole group from one pass; the result
+    is the same as without it.
     """
     # Lazy import: the registry sits above both the detectors and replay
     # layers, so importing it at module scope would be cyclic.
@@ -354,7 +413,10 @@ def replay(
             f"view has {len(view)} heartbeats; need more than {r0 + 1} "
             f"for window {spec.window}"
         )
-    run = family.kernel(view, spec)
+    if group is not None and family.sweep_kernel is not None:
+        run = group.take(family, view, spec)
+    else:
+        run = family.kernel(view, spec)
     qos = _account(view, run.freshness, r0)
     if instruments is not None:
         instruments.record_replay(

@@ -24,7 +24,9 @@ Key identities used (derivations in the docstrings):
   over ~(heartbeats/slot) slots with vectorized work inside each.
 * A sliding quantile has no closed form: the quantile kernel runs the
   streaming detector's sorted-window core over the inter-arrivals, as
-  the ``ml`` kernel runs its NLMS core.
+  the ``ml`` kernel runs its NLMS core.  Neither sequential core depends
+  on the swept value, so each has a ``*_grid`` form serving a whole sweep
+  grid from one pass; the per-point function is its one-value case.
 """
 
 from __future__ import annotations
@@ -57,11 +59,11 @@ __all__ = [
     "bertier_freshness",
     "phi_freshness",
     "quantile_freshness",
+    "quantile_freshness_grid",
     "fixed_freshness",
-    "ml_prediction_arrays",
     "ml_freshness",
+    "ml_freshness_grid",
     "sfd_freshness",
-    "SFDReplay",
 ]
 
 
@@ -226,26 +228,45 @@ def quantile_freshness(
     """Quantile-timeout FD freshness points (the [34-35] family).
 
     ``FP[r] = A_r + Quantile_q(trailing inter-arrivals)``, the window
-    holding the last ``min(r, window)`` gaps.  Sliding quantiles have no
-    closed form, so this runs the streaming detector's own sorted-window
-    core (:class:`~repro.detectors.window.SortedWindow`) over
+    holding the last ``min(r, window)`` gaps.  The one-value case of
+    :func:`quantile_freshness_grid`.  Index 0 is NaN (no gap yet).
+    """
+    return quantile_freshness_grid(view, (quantile,), window=window)[0]
+
+
+def quantile_freshness_grid(
+    view: MonitorView,
+    quantiles,
+    *,
+    window: int = 1000,
+) -> list[np.ndarray]:
+    """:func:`quantile_freshness` for every ``q`` of a grid, in one pass.
+
+    Sliding quantiles have no closed form, so this runs the streaming
+    detector's own sorted-window core
+    (:class:`~repro.detectors.window.SortedWindow`) over
     ``np.diff(arrivals)`` — O(log window) search per heartbeat and
     bit-identical to :class:`~repro.detectors.quantile.QuantileFD` by
-    construction.  Index 0 is NaN (no gap yet).
+    construction.  The window's contents do not depend on ``q``, so one
+    pass pushes each gap once and then looks up every ``q``; the arrays
+    come back in grid order.
     """
     _require_view(view, 2)
-    if not (0.0 < quantile <= 1.0):
-        raise ConfigurationError(f"quantile must lie in (0, 1], got {quantile!r}")
+    qs = [float(q) for q in quantiles]
+    for q in qs:
+        if not (0.0 < q <= 1.0):
+            raise ConfigurationError(f"quantile must lie in (0, 1], got {q!r}")
     arrivals = view.arrivals
-    timeout = np.full(arrivals.size, np.nan, dtype=np.float64)
-    q = float(quantile)
     core = SortedWindow(window)
     push = core.push
     order_stat = core.quantile
-    for j, gap in enumerate(np.diff(arrivals).tolist(), start=1):
+    timeouts: list[list[float]] = [[math.nan] for _ in qs]  # index 0: no gap
+    lookups = [(timeout.append, q) for timeout, q in zip(timeouts, qs)]
+    for gap in np.diff(arrivals).tolist():
         push(gap)
-        timeout[j] = order_stat(q)
-    return arrivals + timeout
+        for record, q in lookups:
+            record(order_stat(q))
+    return [arrivals + np.array(timeout) for timeout in timeouts]
 
 
 def fixed_freshness(view: MonitorView, timeout: float) -> np.ndarray:
@@ -263,26 +284,48 @@ def fixed_freshness(view: MonitorView, timeout: float) -> np.ndarray:
     return fp
 
 
-def ml_prediction_arrays(
+def ml_freshness(
     view: MonitorView,
+    margin: float,
     *,
     lr: float = 0.05,
     window: int = 16,
     decay: float = 0.1,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-index learned gap predictions and jitter scales for a view.
+) -> np.ndarray:
+    """ML FD freshness points: ``FP[r] = A_r + ŷ_r + margin·(jitter_r+floor)``.
+
+    The one-value case of :func:`ml_freshness_grid`.
+    """
+    return ml_freshness_grid(view, (margin,), lr=lr, window=window, decay=decay)[0]
+
+
+def ml_freshness_grid(
+    view: MonitorView,
+    margins,
+    *,
+    lr: float = 0.05,
+    window: int = 16,
+    decay: float = 0.1,
+) -> list[np.ndarray]:
+    """:func:`ml_freshness` for every margin of a grid, in one pass.
 
     Runs the *same* sequential NLMS core the streaming
     :class:`~repro.detectors.ml.MLFD` uses
     (:class:`~repro.detectors.ml.OnlineArrivalPredictor`) over
-    ``np.diff(arrivals)``, so ``pred[r]``/``jitter[r]`` are bit-identical
-    to the streaming model's state after heartbeat ``r`` by construction
-    — the learned recursion has no closed form to vectorize, exactly as
-    SFD's feedback loop doesn't.  Index 0 is NaN (no gap yet).
-
-    The arrays are margin-independent, so every margin of a freshness
-    sweep of the family can reuse one pass.
+    ``np.diff(arrivals)``, so the prediction ``ŷ_r`` and jitter scale
+    after heartbeat ``r`` are bit-identical to the streaming model's
+    state by construction — the learned recursion has no closed form to
+    vectorize, exactly as SFD's feedback loop doesn't.  Both arrays are
+    margin-independent, so the pass runs once and each margin costs one
+    elementwise expression, which matches the streaming detector's
+    ``deadline`` arithmetic operation for operation (same addends, same
+    rounding).  Index 0 is NaN (no gap yet); arrays come back in grid
+    order.
     """
+    values = [float(m) for m in margins]
+    for m in values:
+        if m < 0:
+            raise ConfigurationError(f"margin must be >= 0, got {m!r}")
     _require_view(view, 2)
     arrivals = view.arrivals
     n = arrivals.size
@@ -296,27 +339,8 @@ def ml_prediction_arrays(
         update(gaps[j - 1])
         pred[j] = predict()
         jit[j] = predictor.jitter
-    return pred, jit
-
-
-def ml_freshness(
-    view: MonitorView,
-    margin: float,
-    *,
-    lr: float = 0.05,
-    window: int = 16,
-    decay: float = 0.1,
-) -> np.ndarray:
-    """ML FD freshness points: ``FP[r] = A_r + ŷ_r + margin·(jitter_r+floor)``.
-
-    The elementwise combination matches the streaming detector's
-    ``deadline`` arithmetic operation for operation (same addends, same
-    rounding), so the result is bit-identical to a streaming replay.
-    """
-    if margin < 0:
-        raise ConfigurationError(f"margin must be >= 0, got {margin!r}")
-    pred, jit = ml_prediction_arrays(view, lr=lr, window=window, decay=decay)
-    return view.arrivals + (pred + float(margin) * (jit + ML_JITTER_FLOOR))
+    jit += ML_JITTER_FLOOR
+    return [arrivals + (pred + m * jit) for m in values]
 
 
 @dataclass

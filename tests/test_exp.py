@@ -13,11 +13,14 @@ The load-bearing guarantees tested here:
 * curve archives and TOML configs round-trip losslessly, and
 * cached runs (:class:`~repro.exp.cache.SweepCache`) replay nothing on a
   warm pass yet reassemble curves bit-identical to the cold one, and any
-  damaged or stale cache entry degrades to a miss, never a crash.
+  damaged or stale cache entry degrades to a miss, never a crash, and
+* grid-batched sweep groups reassemble the same curves as replaying
+  every point alone, under every executor, cache state and shard.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import pickle
@@ -29,8 +32,12 @@ from repro.detectors import registry
 from repro.errors import ConfigurationError
 from repro.exp import (
     CACHE_FORMAT,
+    ChaosSchedule,
     ExperimentPlan,
+    FailurePolicy,
+    FlakyExecutor,
     JobFailedError,
+    JobFault,
     ProcessPoolExecutor,
     SerialExecutor,
     SweepCache,
@@ -42,7 +49,8 @@ from repro.exp import (
 from repro.exp.archive import curve_from_dict, curve_to_dict
 from repro.qos.area import QoSCurve
 from repro.qos.spec import QoSReport, QoSRequirements
-from repro.replay import ChenSpec
+from repro.replay import ChenSpec, replay
+from repro.replay.engine import SweepGroup
 from repro.traces.trace import MonitorView
 
 REQ = QoSRequirements(
@@ -594,3 +602,166 @@ class TestCache:
         warm = plan.run(ProcessPoolExecutor(jobs=2), cache=cache)
         assert warm.cache.hits == 8
         assert warm.curves == cold.curves
+
+
+def batched_plan(
+    view, quantiles=(0.9, 0.99, 0.5, 1.0), margins=(2.0, 0.0, 8.0)
+) -> ExperimentPlan:
+    """Two grid-batched sweeps (unsorted grids) beside a per-point one."""
+    plan = ExperimentPlan().add_trace("t", view)
+    plan.add_sweep("t", "quantile", quantiles, window=100)
+    plan.add_sweep("t", "ml", margins, window=16)
+    plan.add_sweep("t", "chen", (0.05, 0.2), window=100)
+    return plan
+
+
+def archived(curves) -> dict[str, str]:
+    """``{trace/name: archive JSON}`` — the bytes a curve archive holds."""
+    return {
+        f"{trace}/{name}": json.dumps(curve_to_dict(curve), sort_keys=True)
+        for trace, per_trace in curves.items()
+        for name, curve in per_trace.items()
+    }
+
+
+def per_point(plan, view, points=None) -> dict[str, str]:
+    """Reference curves: every grid point replayed alone, in grid order.
+
+    ``points`` optionally maps ``(sweep, value)`` to a QoS report to use
+    instead (how shard results are merged).
+    """
+    curves: dict[str, dict[str, QoSCurve]] = {}
+    for decl in plan.sweeps:
+        fam = registry.get(decl.family)
+        curve = QoSCurve(decl.family)
+        for value in decl.grid:
+            if points is not None:
+                qos = points[decl.name, value]
+            else:
+                qos = replay(fam.grid_spec(value, **decl.params), view).qos
+            curve.add(value, qos)
+        curves.setdefault(decl.trace, {})[decl.name] = curve
+    return archived(curves)
+
+
+class TestGridBatching:
+    """Grid-batched sweep groups change the cost of a run, never its curves.
+
+    Every scenario must archive exactly the curves of replaying each grid
+    point alone (``==`` on the archive JSON).
+    """
+
+    @pytest.fixture
+    def counted(self):
+        """Count ``sweep_kernel`` calls as ``[(family, group size)]``."""
+        calls: list[tuple[str, int]] = []
+        originals = [
+            f for f in registry.families() if f.sweep_kernel is not None
+        ]
+        assert {f.name for f in originals} == {"ml", "quantile"}
+        try:
+            for fam in originals:
+
+                def sweep_kernel(view, specs, _fam=fam):
+                    calls.append((_fam.name, len(specs)))
+                    return _fam.sweep_kernel(view, specs)
+
+                registry.register(
+                    dataclasses.replace(fam, sweep_kernel=sweep_kernel),
+                    replace=True,
+                )
+            yield calls
+        finally:
+            for fam in originals:
+                registry.register(fam, replace=True)
+
+    def test_serial_equals_per_point_and_batches_once_per_group(
+        self, small_view, counted
+    ):
+        plan = batched_plan(small_view)
+        result = plan.run(SerialExecutor())
+        assert archived(result.curves) == per_point(plan, small_view)
+        assert sorted(counted) == [("ml", 3), ("quantile", 4)]
+
+    def test_process_pool_equals_per_point(self, small_view):
+        plan = batched_plan(small_view)
+        result = plan.run(ProcessPoolExecutor(jobs=2))
+        assert archived(result.curves) == per_point(plan, small_view)
+
+    def test_cold_then_warm_cache(self, small_view, tmp_path, counted):
+        plan = batched_plan(small_view)
+        reference = per_point(plan, small_view)
+        cache = SweepCache(tmp_path / "cache")
+        cold = plan.run(cache=cache)
+        assert archived(cold.curves) == reference
+        assert sorted(counted) == [("ml", 3), ("quantile", 4)]
+        counted.clear()
+        warm = plan.run(cache=cache)
+        assert warm.cache.misses == 0 and counted == []
+        assert archived(warm.curves) == reference
+
+    def test_partially_warm_cache_single_miss_group(
+        self, small_view, tmp_path, counted
+    ):
+        cache = SweepCache(tmp_path / "cache")
+        batched_plan(small_view).run(cache=cache)
+        counted.clear()
+        edited = batched_plan(small_view, quantiles=(0.9, 0.95, 0.5, 1.0))
+        result = edited.run(cache=cache)
+        assert result.cache.misses == 1
+        assert counted == [("quantile", 1)]
+        assert archived(result.curves) == per_point(edited, small_view)
+
+    def test_shards_merge_to_per_point(self, small_view):
+        plan = batched_plan(small_view)
+        points = {}
+        for shard in ((0, 2), (1, 2)):
+            result = plan.run(shard=shard)
+            for _trace, name, curve in result.items():
+                for p in curve.points:
+                    assert (name, p.parameter) not in points
+                    points[name, p.parameter] = p.qos
+        assert per_point(plan, small_view, points) == per_point(plan, small_view)
+
+    def test_retried_first_job_of_a_group(self, small_view):
+        plan = batched_plan(small_view)
+        first_of_groups = [0, 4]  # quantile[0], ml[0]
+        sched = ChaosSchedule(
+            {i: JobFault("error", fail_attempts=1) for i in first_of_groups}
+        )
+        result = plan.run(
+            FlakyExecutor(sched),
+            policy=FailurePolicy(max_retries=1, backoff=0.001, jitter=0.0),
+        )
+        assert result.clean
+        assert archived(result.curves) == per_point(plan, small_view)
+
+    def test_bad_member_fails_alone(self, small_view):
+        # q = 1.5 is rejected by the kernel: the batched call raises, the
+        # group falls back to per-point replay, and only that job fails.
+        plan = batched_plan(small_view, quantiles=(0.9, 1.5, 0.99))
+        result = plan.run(policy=FailurePolicy(mode="continue"))
+        assert [f.job.parameter for f in result.failures] == [1.5]
+        good = batched_plan(small_view, quantiles=(0.9, 0.99))
+        assert archived(result.curves) == per_point(good, small_view)
+
+    def test_taken_or_released_member_replays_per_point(
+        self, small_view, counted
+    ):
+        fam = registry.get("quantile")
+        specs = [fam.grid_spec(q, window=100) for q in (0.9, 0.99, 0.5)]
+        group = SweepGroup(specs)
+        first = replay(specs[0], small_view, group=group)
+        again = replay(specs[0], small_view, group=group)  # run already taken
+        group.release()
+        after = replay(specs[1], small_view, group=group)
+        assert counted == [("quantile", 3)]
+        assert first.qos == again.qos == replay(specs[0], small_view).qos
+        assert after.qos == replay(specs[1], small_view).qos
+
+    def test_group_never_leaves_the_process(self, small_view):
+        job = batched_plan(small_view).jobs()[0]
+        tagged = dataclasses.replace(job, group=SweepGroup([job.spec]))
+        clone = pickle.loads(pickle.dumps(tagged))
+        assert clone.group is None
+        assert clone == tagged == job

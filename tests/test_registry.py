@@ -300,6 +300,104 @@ class TestSweepEquivalence:
         assert [p.parameter for p in curve.points] == list(fam.default_grid)
 
 
+# Grid-batched kernels: ``None`` marks a family that replays per point
+# only; otherwise (fixed params, grids) where every grid exercises one
+# shape a sweep group can take.  Parametrized over ``registry.names()``
+# so a new family fails (via ``batch_case``) until it is listed here.
+BATCH_CASES = {
+    "chen": None,
+    "bertier": None,
+    "phi": None,
+    "fixed": None,
+    "sfd": None,
+    "quantile": (
+        {"window": 100},
+        {
+            "unsorted": (0.99, 0.5, 0.9),
+            "duplicates": (0.9, 0.9, 0.99),
+            "one point": (0.99,),
+            "top": (1.0, 0.5, 1.0),
+        },
+    ),
+    "ml": (
+        {"window": 16},
+        {
+            "unsorted": (8.0, 0.0, 2.0),
+            "duplicates": (2.0, 2.0, 0.5),
+            "one point": (4.0,),
+            "zero": (0.0, 0.0),
+        },
+    ),
+}
+# Non-swept fields a batched group must agree on, per family.
+BATCH_MISMATCHES = {
+    "quantile": [{"window": 50}],
+    "ml": [{"window": 8}, {"lr": 0.1}, {"decay": 0.2}],
+}
+
+
+def batch_case(name: str):
+    try:
+        return BATCH_CASES[name]
+    except KeyError:
+        pytest.fail(
+            f"registered family {name!r} has no BATCH_CASES entry; the "
+            "grid-batched kernel harness must stay exhaustive"
+        )
+
+
+class TestSweepKernels:
+    """A family's ``sweep_kernel`` is its per-point kernel, batched.
+
+    For every family that declares one, the run of each member of a
+    group must equal ``kernel(view, spec)`` bit for bit, whatever the
+    grid's order, duplicates or length.
+    """
+
+    def test_every_registered_family_has_a_case(self):
+        assert set(BATCH_CASES) == set(registry.names())
+        assert set(BATCH_MISMATCHES) == {
+            n for n, case in BATCH_CASES.items() if case is not None
+        }
+
+    @pytest.mark.parametrize("name", sorted(registry.names()))
+    def test_batched_runs_equal_per_point_kernels(self, small_view, name):
+        case = batch_case(name)
+        fam = registry.get(name)
+        assert (case is None) == (fam.sweep_kernel is None)
+        if case is None:
+            return
+        params, grids = case
+        for label, grid in grids.items():
+            specs = [fam.grid_spec(v, **params) for v in grid]
+            runs = fam.sweep_kernel(small_view, specs)
+            assert len(runs) == len(specs), label
+            for spec, run in zip(specs, runs):
+                np.testing.assert_array_equal(
+                    run.freshness,
+                    fam.kernel(small_view, spec).freshness,
+                    err_msg=f"{name} {label} {spec!r}",
+                )
+
+    @pytest.mark.parametrize(
+        "name, other",
+        [(n, o) for n, others in BATCH_MISMATCHES.items() for o in others],
+    )
+    def test_group_differing_beyond_the_swept_field_rejected(
+        self, small_view, name, other
+    ):
+        fam = registry.get(name)
+        params, grids = BATCH_CASES[name]
+        value = grids["one point"][0]
+        specs = [
+            fam.grid_spec(value, **params),
+            fam.grid_spec(value, **{**params, **other}),
+        ]
+        with pytest.raises(ConfigurationError, match="may differ only"):
+            fam.sweep_kernel(small_view, specs)
+
+
+
 @dataclasses.dataclass(frozen=True, slots=True)
 class DoubleSpec(ReplaySpec):
     """Toy third-party spec: a fixed timeout applied at twice the value."""
